@@ -11,8 +11,9 @@ type t = {
   l2_attempts : int;
 }
 
-(* [generic] mirrors the engine's historical budget: two generic
-   replays, then Recovery_failed. *)
+(* [generic]: two generic replays, then Recovery_failed.  A run without
+   a configured policy uses this ladder with [l0_attempts] set to the
+   scheduler's [max_recovery_attempts] (3 by default). *)
 let generic = { l0_attempts = 2; l1_attempts = 0; l1_depth = 1; l2_attempts = 0 }
 let deep = { generic with l1_attempts = 2; l1_depth = 2 }
 let full = { deep with l2_attempts = 3 }

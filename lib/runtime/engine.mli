@@ -35,13 +35,14 @@ type config = Scheduler.config = {
           choose who runs next; [None] (the value or the result) falls
           back to the smallest-local-clock default *)
   twopc_timeout_ns : int;
-      (** 2PC prepare/commit timeout: with an unreliable transport
-          attached, an unreachable participant makes the coordinator
-          presume abort and retry the round after the timeout (doubling
-          per retry) *)
+      (** commit-round prepare/commit timeout, for 2PC and dependent
+          commit alike: with an unreliable transport attached, an
+          unreachable participant makes the coordinator presume abort
+          and retry the round after the timeout (doubling per retry) *)
   twopc_max_retries : int;
-      (** aborted-round retries before the coordinator gives up and the
-          run degrades to [Net_unreachable] *)
+      (** aborted-round retries (2PC or dependent commit) before the
+          coordinator gives up and the run degrades to
+          [Net_unreachable] *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -52,8 +53,8 @@ type config = Scheduler.config = {
       (** §2.6: recomputable heap pages left out of checkpoints; lost at
           recovery *)
   policy : Ft_recovery.Policy.t option;
-      (** escalation ladder driving recovery; [None] is the legacy
-          generic-replay path *)
+      (** escalation ladder driving recovery; [None] is the generic
+          ladder with [max_recovery_attempts] replays *)
   quarantine : Ft_recovery.Quarantine.params option;
       (** crash-loop circuit breaker; [None] = off *)
   recovery_kills : (Scheduler.recovery_stage * int) list;

@@ -41,16 +41,16 @@ type proc = {
   mutable last_rung : int;       (* rung of the most recent recovery *)
   mutable salt : int;            (* perturbation salt in effect, 0 = none *)
   mutable crash_bar : int;
-      (* policy runs: highest icount at which this process has crashed.
-         A recurring fault keeps biting at (or before) the bar however
-         many commits land under it, so only a commit strictly past the
-         bar counts as progress and resets the ladder — otherwise a
-         fault whose recurrence outpaces nothing but the attempt counter
-         would hold the ladder at rung L0 forever. *)
+      (* highest icount at which this process has crashed.  A recurring
+         fault keeps biting at (or before) the bar however many commits
+         land under it, so only a commit strictly past the bar counts as
+         progress and resets the ladder — otherwise a fault whose
+         recurrence outpaces nothing but the attempt counter would hold
+         the ladder at rung L0 forever. *)
   mutable out_seq : int;
-      (* policy runs: this lineage's visible-output cursor.  Rewinds
-         with every restore/rollback; outputs below [emitted_n] are
-         replays the sequenced egress channel absorbs. *)
+      (* this lineage's visible-output cursor.  Rewinds with every
+         restore/rollback; outputs below [emitted_n] are replays the
+         sequenced egress channel absorbs. *)
   mutable committed_out_seq : int;  (* out_seq as of the newest commit *)
   mutable emitted_rev : int list;   (* released values, newest first *)
   mutable emitted_n : int;          (* = length emitted_rev *)
@@ -67,7 +67,7 @@ type proc = {
    for nested failures: a process may crash again while its own restore
    replays ([Mid_restore]), while the orphan-rollback cascade it
    triggered is mid-flight ([Mid_cascade]), or while coordinating a
-   dependent-commit round ([Mid_round]). *)
+   commit round, 2PC or dependent ([Mid_round]). *)
 type recovery_stage = Mid_restore | Mid_cascade | Mid_round
 
 type config = {
@@ -93,8 +93,9 @@ type config = {
       (* given the runnable pids (ascending), choose who runs next;
          [None] falls back to the smallest-local-clock default *)
   twopc_timeout_ns : int;
-      (* 2PC prepare/commit timeout: an unreachable participant makes
-         the coordinator presume abort and retry the round later *)
+      (* commit-round (2PC or dependent) prepare/commit timeout: an
+         unreachable participant makes the coordinator presume abort and
+         retry the round later *)
   twopc_max_retries : int;
       (* aborted-round retries (doubling backoff) before the coordinator
          gives up and the run degrades to Net_unreachable *)
@@ -107,8 +108,8 @@ type config = {
   excluded_pages : int -> bool;
       (* §2.6: recomputable heap pages left out of checkpoints *)
   policy : Ft_recovery.Policy.t option;
-      (* escalation ladder driving recovery; [None] is the legacy
-         generic-replay path, byte-identical to the old engine *)
+      (* escalation ladder driving recovery; [None] is the generic
+         ladder with [max_recovery_attempts] replays *)
   quarantine : Ft_recovery.Quarantine.params option;
       (* per-tenant crash-loop circuit breaker; [None] = off *)
   recovery_kills : (recovery_stage * int) list;
@@ -280,6 +281,15 @@ type t = {
   mutable steps : int;      (* scheduling steps taken, all tenants *)
 }
 
+(* The escalation ladder a tenant recovers with: its configured policy,
+   else the generic ladder with [max_recovery_attempts] replays. *)
+let ladder cfg =
+  match cfg.policy with
+  | Some pol -> pol
+  | None ->
+      { Ft_recovery.Policy.generic with
+        l0_attempts = cfg.max_recovery_attempts }
+
 let make_tenant tid (cfg, kernel, programs) =
   let nprocs = Array.length programs in
   if nprocs <> Ft_os.Kernel.nprocs kernel then
@@ -321,13 +331,10 @@ let make_tenant tid (cfg, kernel, programs) =
   in
   (* Deep rollback (rung L1) needs archived generations: enough for
      every L1 attempt to go [l1_depth] further back, plus the current
-     one.  Zero (the default) keeps the commit hot path archive-free. *)
+     one.  Zero (no L1 rung) keeps the commit hot path archive-free. *)
   let history =
-    match cfg.policy with
-    | Some pol when pol.Ft_recovery.Policy.l1_attempts > 0 ->
-        (pol.Ft_recovery.Policy.l1_depth * pol.Ft_recovery.Policy.l1_attempts)
-        + 1
-    | _ -> 0
+    let { Ft_recovery.Policy.l1_attempts; l1_depth; _ } = ladder cfg in
+    if l1_attempts > 0 then (l1_depth * l1_attempts) + 1 else 0
   in
   let ckpt =
     Checkpointer.create ~cost:cfg.cost ~excluded:cfg.excluded_pages
@@ -454,6 +461,17 @@ let recovery_crash_due tn stage =
       tn.recovery_kills_pending <- keep;
       true
 
+(* Feed one crash of [p] to the tenant's crash-loop breaker, counting a
+   trip whenever it parks or latches.  No breaker always answers [`Ok]. *)
+let breaker_note_crash tn (p : proc) =
+  match tn.breaker with
+  | None -> `Ok
+  | Some b ->
+      ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
+      let verdict = Ft_recovery.Quarantine.note_crash b ~now_ns:p.time in
+      if verdict <> `Ok then tn.quarantine_trips <- tn.quarantine_trips + 1;
+      verdict
+
 (* A crash that lands during recovery itself is still a crash: count it,
    feed the crash-loop breaker's sliding window (recovery-time crashes
    trip the quarantine just like primary-execution ones), and pace the
@@ -462,19 +480,12 @@ let note_recovery_crash tn (p : proc) ~injected ~attempt =
   tn.recovery_crashes <- tn.recovery_crashes + 1;
   if injected then tn.nested_crashes <- tn.nested_crashes + 1;
   p.time <- p.time + (attempt * tn.cfg.recovery_retry_delay_ns);
-  match tn.breaker with
-  | None -> `Retry
-  | Some b -> (
-      ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
-      match Ft_recovery.Quarantine.note_crash b ~now_ns:p.time with
-      | `Latched ->
-          tn.quarantine_trips <- tn.quarantine_trips + 1;
-          `Abandon
-      | `Park_until until_ns ->
-          tn.quarantine_trips <- tn.quarantine_trips + 1;
-          p.time <- max p.time until_ns;
-          `Retry
-      | `Ok -> `Retry)
+  match breaker_note_crash tn p with
+  | `Latched -> `Abandon
+  | `Park_until until_ns ->
+      p.time <- max p.time until_ns;
+      `Retry
+  | `Ok -> `Retry
 
 (* Prepare the process for a replay attempt: the paper's fault
    suppression and §2.6 resource expansion, shared by every rung. *)
@@ -543,31 +554,15 @@ let finish_restore tn (p : proc) (kstate, cost) =
   p.blocked <- false;
   p.halted <- false
 
-(* Legacy generic recovery (ladder rung L0 only): the engine's
-   historical path, untouched when [cfg.policy = None]. *)
-let recover_generic tn (p : proc) =
-  if p.recoveries >= tn.cfg.max_recovery_attempts then give_up tn p
-  else begin
-    p.recoveries <- p.recoveries + 1;
-    tn.total_recoveries <- tn.total_recoveries + 1;
-    pre_replay tn p;
-    match restore_with_retry tn p with
-    | None -> give_up tn p
-    | Some restored ->
-        finish_restore tn p restored;
-        (match tn.on_replay with
-        | Some f -> f p.pid ~salt:p.salt
-        | None -> ())
-  end
-
-(* Policy-driven recovery: the escalation ladder.  The attempt index
-   (consecutive crashes since the process last committed past its
-   restore point) picks the rung; each rung restores *some* committed
-   state — Consistency is never traded, only whose work is lost and
-   what environment the replay sees. *)
-let recover_policy tn pol (p : proc) =
+(* Recovery is the escalation ladder; without a configured policy it is
+   the generic ladder, rung L0 alone — the paper's roll back to the last
+   commit and replay.  The attempt index (consecutive crashes since the
+   process last committed past its crash bar) picks the rung; each rung
+   restores *some* committed state — Consistency is never traded, only
+   whose work is lost and what environment the replay sees. *)
+let recover tn (p : proc) =
   p.recoveries <- p.recoveries + 1;
-  match Ft_recovery.Policy.decide pol ~attempt:p.recoveries with
+  match Ft_recovery.Policy.decide (ladder tn.cfg) ~attempt:p.recoveries with
   | Ft_recovery.Policy.Give_up -> give_up tn p
   | action ->
       tn.total_recoveries <- tn.total_recoveries + 1;
@@ -612,11 +607,6 @@ let recover_policy tn pol (p : proc) =
           (match tn.on_replay with
           | Some f -> f p.pid ~salt:p.salt
           | None -> ()))
-
-let recover tn (p : proc) =
-  match tn.cfg.policy with
-  | None -> recover_generic tn p
-  | Some pol -> recover_policy tn pol p
 
 (* Orphan detection and re-rollback (message-logging protocols).  After
    a victim is restored to its last commit, a survivor [s] is an orphan
@@ -672,9 +662,7 @@ let rec orphan_cascade tn (victim : proc) =
        re-enters this cascade and resumes from the persisted worklist —
        this call is superseded by the re-entrant one. *)
     if recovery_crash_due tn Mid_cascade && not victim.failed then begin
-      tn.nested_crashes <- tn.nested_crashes + 1;
-      Ft_vm.Machine.kill victim.machine;
-      crash_proc tn victim;
+      nested_crash tn victim;
       superseded := true
     end
   done;
@@ -687,25 +675,14 @@ and recover_and_cascade tn (p : proc) =
 
 and crash_proc tn (p : proc) =
   record_crash tn p;
-  if tn.cfg.policy <> None then
-    p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
+  p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
   (* Classification is pure observation: it never feeds back into the
-     simulation, so the legacy path stays byte-identical. *)
+     simulation. *)
   Ft_recovery.Classifier.note_crash p.classifier ~salt:p.salt
     ~icount:(Ft_vm.Machine.icount p.machine - p.restore_base_icount);
-  let verdict =
-    match tn.breaker with
-    | None -> `Ok
-    | Some b ->
-        ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
-        Ft_recovery.Quarantine.note_crash b ~now_ns:p.time
-  in
-  match verdict with
-  | `Latched ->
-      tn.quarantine_trips <- tn.quarantine_trips + 1;
-      give_up tn p
+  match breaker_note_crash tn p with
+  | `Latched -> give_up tn p
   | `Park_until until_ns ->
-      tn.quarantine_trips <- tn.quarantine_trips + 1;
       if tn.cfg.auto_recover then begin
         (* The breaker took over pacing: restart the ladder so the
            half-open probe gets a fresh budget, recover, then park the
@@ -724,6 +701,22 @@ and crash_proc tn (p : proc) =
   | `Ok ->
       if tn.cfg.auto_recover then recover_and_cascade tn p
       else p.failed <- true
+
+(* A stop failure: the machine dies where it stands and goes through the
+   ordinary crash path. *)
+and stop_fail tn (p : proc) =
+  Ft_vm.Machine.kill p.machine;
+  crash_proc tn p
+
+(* An injected crash that lands during a recovery stage. *)
+and nested_crash tn (p : proc) =
+  tn.nested_crashes <- tn.nested_crashes + 1;
+  stop_fail tn p
+
+(* An injected kill of [pid] lands only on a live process. *)
+let kill_if_live tn pid =
+  let p = tn.procs.(pid) in
+  if (not p.halted) && not p.failed then stop_fail tn p
 
 (* --- commits ------------------------------------------------------------ *)
 
@@ -766,8 +759,7 @@ let do_local_commit ?round tn (p : proc) =
   | exception Ft_stablemem.Rio.Crash_point _ ->
       (* The process died partway through writing its checkpoint; the
          torn Vista transaction is rolled back by the restore. *)
-      Ft_vm.Machine.kill p.machine;
-      crash_proc tn p;
+      stop_fail tn p;
       false
   | cost ->
       p.time <- p.time + cost;
@@ -788,14 +780,13 @@ let do_local_commit ?round tn (p : proc) =
          the failure was transient, so the next crash starts a fresh
          recovery budget.  (A commit AT the restore point is just the
          deterministic replay re-reaching the same state and must not
-         refill the budget, or a crash loop would never give up.) *)
-      (* Policy runs additionally require the commit to pass the crash
-         high-water mark: a recurring fault keeps crashing at the same
-         icount, so commits underneath it are replay, not escape. *)
+         refill the budget, or a crash loop would never give up.)  The
+         commit must also pass the crash high-water mark: a recurring
+         fault keeps crashing at the same icount, so commits underneath
+         it are replay, not escape. *)
       if p.recoveries > 0
          && Ft_vm.Machine.icount p.machine > p.recovered_at_icount
-         && (tn.cfg.policy = None
-             || Ft_vm.Machine.icount p.machine > p.crash_bar)
+         && Ft_vm.Machine.icount p.machine > p.crash_bar
       then begin
         Ft_recovery.Classifier.note_progress p.classifier ~rung:p.last_rung;
         (match tn.breaker with
@@ -819,29 +810,29 @@ let do_local_commit ?round tn (p : proc) =
       | _ -> ());
       true
 
-(* Two-phase commit: the coordinator asks every live process to commit and
-   waits for all acknowledgements.  Time: participants commit after one
-   message latency; the coordinator finishes one latency after the last.
-   The acknowledgements are recorded in the trace (as logged protocol
-   messages) so the participants' commits happen-before whatever the
-   coordinator does next — the edge Save-work-orphan relies on.
+(* One commit round, the executor behind both 2PC and dependent commit:
+   the coordinator asks each participant to commit and waits for every
+   acknowledgement.  Time: participants commit after one message
+   latency; the coordinator commits the same round last, one latency
+   after the last ack.  The acks are recorded in the trace (as logged
+   protocol messages) so every participant commit happens-before
+   whatever the coordinator does next — the edge Save-work-orphan relies
+   on, and the one that puts a dependency's covering commit in an
+   output's causal past.
 
    With an unreliable transport attached, the round is guarded by a
-   prepare/commit timeout with presumed-abort: if any participant is
+   prepare/commit timeout with presumed abort: if any participant is
    unreachable (partitioned in either direction, or behind a link whose
    retry budget ran out), nobody commits this round; the coordinator
    waits out the timeout — doubling per retry — and tries again, so a
    healing partition only delays the round.  A round that exhausts its
    retries degrades the run to [Net_unreachable] rather than committing
    unsafely or wedging. *)
-let do_global_commit tn (coordinator : proc) =
+exception Round_superseded
+
+let commit_round tn (coordinator : proc) participants =
   let latency =
     (Ft_os.Kernel.costs tn.kernel).Ft_os.Kernel.network_latency_ns
-  in
-  let live_participants () =
-    Array.to_list tn.procs
-    |> List.filter (fun q ->
-           (not q.halted) && (not q.failed) && q.pid <> coordinator.pid)
   in
   let base = Ft_os.Kernel.net_base tn.kernel in
   let reachable (q : proc) =
@@ -854,14 +845,13 @@ let do_global_commit tn (coordinator : proc) =
         && Ft_net.Transport.reachable net ~src:(base + q.pid)
              ~dst:(base + coordinator.pid) ~now
   in
-  let commit_round () =
+  let run () =
     let start = coordinator.time in
     let finish = ref start in
     let round = tn.round in
     tn.round <- round + 1;
-    (* participants first, each acknowledging to the coordinator *)
     List.iter
-      (fun q ->
+      (fun (q : proc) ->
         q.time <- max q.time (start + latency);
         (* A participant whose commit crashed (and rolled back) never
            acknowledges; the coordinator still commits the others. *)
@@ -874,15 +864,36 @@ let do_global_commit tn (coordinator : proc) =
           ignore
             (Ft_core.Trace.record tn.trace ~pid:coordinator.pid ~logged:true
                (Ft_core.Event.Receive { src = q.pid; tag }));
+          (* Logging styles: the ack confirms everything of q's own ND to
+             date is now durable; the coordinator's next commit snapshots
+             this knowledge, so q is not re-contacted for old taint. *)
+          if Ft_os.Kernel.dependency_tracking tn.kernel then
+            tn.stable_marks.(coordinator.pid).(q.pid) <-
+              Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel q.pid) q.pid;
           if q.time > !finish then finish := q.time
-        end)
-      (live_participants ());
-    (* the coordinator commits last, once every ack is in *)
+        end;
+        (* Injected nested failure: the coordinator dies between
+           participants, mid-round. *)
+        if recovery_crash_due tn Mid_round then raise Round_superseded)
+      participants;
     coordinator.time <- max coordinator.time (!finish + latency);
     do_local_commit ~round tn coordinator
   in
   let rec attempt retries =
-    if List.for_all reachable (live_participants ()) then commit_round ()
+    if List.for_all reachable participants then (
+      match run () with
+      | committed -> committed
+      | exception Round_superseded ->
+          (* The coordinator crashed mid-round.  Participants' commits
+             and the acks already recorded STAND — commits are never
+             undone, so no participant is stranded waiting on an
+             outcome.  The coordinator's own stable-mark updates for the
+             dead round were not yet committed and revert with its
+             restore; its replay runs a fresh round (under dependent
+             commit, over a smaller dependency set) that supersedes this
+             one. *)
+          nested_crash tn coordinator;
+          false)
     else begin
       (* presumed abort: no participant prepared, so nothing to undo —
          the round simply never happened *)
@@ -921,138 +932,53 @@ let do_global_commit tn (coordinator : proc) =
    q's vector shows taint of r beyond q's mark for r, r must co-commit
    too, else a participant's snapshot would capture a dependence on
    unconfirmed ND and a later crash of r would orphan *committed*
-   state.  All of S commits under one shared
-   round id (participant snapshots may depend on each other in ways no
-   ack ordering can serialize; atomic-with covers them), each
-   acknowledging to the coordinator; the coordinator commits the same
-   round last, so every participant commit happens-before the visible.
-   An untainted coordinator with no dependencies commits nothing at
-   all — that asynchrony is the entire point of logging protocols.
-
-   Unreachable dependencies are handled exactly like an unreachable 2PC
-   participant: presumed abort, doubling timeout, degrade to
-   [Net_unreachable] when the retry budget runs out. *)
-exception Round_superseded
-
+   state.  All of S commits under one shared round id (participant
+   snapshots may depend on each other in ways no ack ordering can
+   serialize; atomic-with covers them).  An untainted coordinator with
+   no dependencies commits nothing at all — that asynchrony is the
+   entire point of logging protocols. *)
 let do_dependent_commit tn (coordinator : proc) =
-  let latency =
-    (Ft_os.Kernel.costs tn.kernel).Ft_os.Kernel.network_latency_ns
-  in
   let nprocs = Array.length tn.procs in
-  let committed_own q = Ft_core.Vclock.get tn.committed_dvs.(q) q in
-  let dependencies () =
-    let in_set = Array.make nprocs false in
-    let rec close pid =
-      let dv = Ft_os.Kernel.dv tn.kernel pid in
-      for q = 0 to nprocs - 1 do
-        if
-          q <> coordinator.pid
-          && (not in_set.(q))
-          && (not tn.procs.(q).halted)
-          && (not tn.procs.(q).failed)
-          && Ft_core.Vclock.get dv q > tn.stable_marks.(pid).(q)
-        then begin
-          in_set.(q) <- true;
-          close q
-        end
-      done
-    in
-    close coordinator.pid;
-    Array.to_list tn.procs |> List.filter (fun q -> in_set.(q.pid))
+  let in_set = Array.make nprocs false in
+  let rec close pid =
+    let dv = Ft_os.Kernel.dv tn.kernel pid in
+    for q = 0 to nprocs - 1 do
+      if
+        q <> coordinator.pid
+        && (not in_set.(q))
+        && (not tn.procs.(q).halted)
+        && (not tn.procs.(q).failed)
+        && Ft_core.Vclock.get dv q > tn.stable_marks.(pid).(q)
+      then begin
+        in_set.(q) <- true;
+        close q
+      end
+    done
   in
-  let self_tainted () =
-    Ft_core.Vclock.get
-      (Ft_os.Kernel.dv tn.kernel coordinator.pid)
-      coordinator.pid
-    > committed_own coordinator.pid
-  in
-  let base = Ft_os.Kernel.net_base tn.kernel in
-  let reachable (q : proc) =
-    match Ft_os.Kernel.net tn.kernel with
-    | None -> true
-    | Some net ->
-        let now = coordinator.time in
-        Ft_net.Transport.reachable net ~src:(base + coordinator.pid)
-          ~dst:(base + q.pid) ~now
-        && Ft_net.Transport.reachable net ~src:(base + q.pid)
-             ~dst:(base + coordinator.pid) ~now
-  in
-  let commit_round deps =
-    let start = coordinator.time in
-    let finish = ref start in
-    let round = tn.round in
-    tn.round <- round + 1;
-    List.iter
-      (fun (q : proc) ->
-        q.time <- max q.time (start + latency);
-        if do_local_commit ~round tn q then begin
-          let tag = tn.ack_tag in
-          tn.ack_tag <- tag - 1;
-          ignore
-            (Ft_core.Trace.record tn.trace ~pid:q.pid
-               (Ft_core.Event.Send { dest = coordinator.pid; tag }));
-          ignore
-            (Ft_core.Trace.record tn.trace ~pid:coordinator.pid ~logged:true
-               (Ft_core.Event.Receive { src = q.pid; tag }));
-          (* the ack confirms everything of q's own ND to date is now
-             durable; the coordinator's next commit snapshots this
-             knowledge, so q is not re-contacted for old taint *)
-          tn.stable_marks.(coordinator.pid).(q.pid) <-
-            Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel q.pid) q.pid;
-          if q.time > !finish then finish := q.time
-        end;
-        (* Injected nested failure: the coordinator dies between
-           participants, mid-round. *)
-        if recovery_crash_due tn Mid_round then raise Round_superseded)
-      deps;
-    coordinator.time <- max coordinator.time (!finish + latency);
-    do_local_commit ~round tn coordinator
-  in
-  let commit_round deps =
-    match commit_round deps with
-    | committed -> committed
-    | exception Round_superseded ->
-        (* The coordinator crashed mid-round.  Participants' commits and
-           the acks already recorded STAND — commits are never undone, so
-           no participant is stranded waiting on an outcome.  The
-           coordinator's own stable-mark updates for the dead round were
-           not yet committed and revert with its restore; its replay
-           re-derives a (smaller) dependency set and runs a fresh round
-           that supersedes this one. *)
-        tn.nested_crashes <- tn.nested_crashes + 1;
-        Ft_vm.Machine.kill coordinator.machine;
-        crash_proc tn coordinator;
-        false
-  in
-  let rec attempt retries =
-    match dependencies () with
-    | [] ->
-        (* No remote dependencies: a tainted coordinator makes a plain
-           local commit; an untainted one owes nothing before output. *)
-        if self_tainted () then do_local_commit tn coordinator else true
-    | deps ->
-        if List.for_all reachable deps then commit_round deps
-        else begin
-          tn.aborted_rounds <- tn.aborted_rounds + 1;
-          if retries >= tn.cfg.twopc_max_retries then begin
-            coordinator.failed <- true;
-            if tn.outcome = None then tn.outcome <- Some Net_unreachable;
-            false
-          end
-          else begin
-            coordinator.time <-
-              coordinator.time + (tn.cfg.twopc_timeout_ns * (1 lsl retries));
-            attempt (retries + 1)
-          end
-        end
-  in
-  attempt 0
+  close coordinator.pid;
+  match Array.to_list tn.procs |> List.filter (fun q -> in_set.(q.pid)) with
+  | [] ->
+      (* No remote dependencies: a tainted coordinator makes a plain
+         local commit; an untainted one owes nothing before output. *)
+      let own = coordinator.pid in
+      if
+        Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel own) own
+        > Ft_core.Vclock.get tn.committed_dvs.(own) own
+      then do_local_commit tn coordinator
+      else true
+  | deps -> commit_round tn coordinator deps
 
 (* Like [do_local_commit], [false] means the committing process crashed
-   mid-commit and was restored: abandon the surrounding control flow. *)
-let do_commit tn p = function
+   mid-commit and was restored: abandon the surrounding control flow.
+   A 2PC round (the global scope) has every other live process
+   participate. *)
+let do_commit tn (p : proc) = function
   | Ft_core.Protocol.Local -> do_local_commit tn p
-  | Ft_core.Protocol.Global -> do_global_commit tn p
+  | Ft_core.Protocol.Global ->
+      commit_round tn p
+        (Array.to_list tn.procs
+        |> List.filter (fun q ->
+               (not q.halted) && (not q.failed) && q.pid <> p.pid))
   | Ft_core.Protocol.Dependent -> do_dependent_commit tn p
 
 (* A kernel panic stops the whole (shared) machine — all of {e this
@@ -1260,27 +1186,16 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                     then Ft_os.Kernel.dv_tick tn.kernel p.pid
                   end
               | Ft_core.Event.Visible v ->
-                  (* Sequenced egress (policy runs): a replayed output
-                     below the released cursor is absorbed by the
-                     channel — the outside world already has it — but it
-                     must agree with the value that was released, or the
-                     recovery machinery broke exactly-once output. *)
-                  let release =
-                    match tn.cfg.policy with
-                    | None -> true
-                    | Some _ ->
-                        if p.out_seq < p.emitted_n then begin
-                          let prior =
-                            List.nth p.emitted_rev
-                              (p.emitted_n - 1 - p.out_seq)
-                          in
-                          if prior <> v then
-                            tn.replay_mismatches <-
-                              tn.replay_mismatches + 1;
-                          false
-                        end
-                        else true
-                  in
+                  (* Sequenced egress: a replayed output below the
+                     released cursor is absorbed by the channel — the
+                     outside world already has it — but it must agree
+                     with the value that was released, or the recovery
+                     machinery broke exactly-once output. *)
+                  let release = p.out_seq >= p.emitted_n in
+                  if (not release)
+                     && List.nth p.emitted_rev (p.emitted_n - 1 - p.out_seq)
+                        <> v
+                  then tn.replay_mismatches <- tn.replay_mismatches + 1;
                   p.out_seq <- p.out_seq + 1;
                   if release then begin
                     p.visible_count <- p.visible_count + 1;
@@ -1324,14 +1239,7 @@ let pick tn =
     List.partition (fun (d, _) -> d <= tn.decisions) tn.decision_kills
   in
   tn.decision_kills <- later;
-  List.iter
-    (fun (_, pid) ->
-      let p = tn.procs.(pid) in
-      if (not p.halted) && not p.failed then begin
-        Ft_vm.Machine.kill p.machine;
-        crash_proc tn p
-      end)
-    due;
+  List.iter (fun (_, pid) -> kill_if_live tn pid) due;
   let best = ref None in
   Array.iter
     (fun p ->
@@ -1364,14 +1272,7 @@ let apply_due_kills tn =
       tn.kills_pending
   in
   tn.kills_pending <- later;
-  List.iter
-    (fun (_, pid) ->
-      let p = tn.procs.(pid) in
-      if (not p.halted) && not p.failed then begin
-        Ft_vm.Machine.kill p.machine;
-        crash_proc tn p
-      end)
-    due
+  List.iter (fun (_, pid) -> kill_if_live tn pid) due
 
 let past_deadline tn (p : proc) =
   match tn.cfg.deadline_ns with Some d -> p.time >= d | None -> false

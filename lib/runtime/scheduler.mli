@@ -21,7 +21,9 @@
 type recovery_stage =
   | Mid_restore  (** the victim's own restore/replay of its checkpoint *)
   | Mid_cascade  (** the orphan-rollback cascade the crash triggered *)
-  | Mid_round  (** coordinating a dependent-commit round *)
+  | Mid_round
+      (** coordinating a commit round, 2PC or dependent: the coordinator
+          dies between participants *)
       (** The stateful stages of the recovery path itself, as injection
           sites for nested failures: a process may crash again while any
           of them is mid-flight.  Recovery is idempotent and re-enterable
@@ -57,13 +59,14 @@ type config = {
           choose who runs next; [None] (the value or the result) falls
           back to the smallest-local-clock default *)
   twopc_timeout_ns : int;
-      (** 2PC prepare/commit timeout: with an unreliable transport
-          attached, an unreachable participant makes the coordinator
-          presume abort and retry the round after the timeout (doubling
-          per retry) *)
+      (** commit-round prepare/commit timeout, for 2PC and dependent
+          commit alike: with an unreliable transport attached, an
+          unreachable participant makes the coordinator presume abort
+          and retry the round after the timeout (doubling per retry) *)
   twopc_max_retries : int;
-      (** aborted-round retries before the coordinator gives up and the
-          run degrades to [Net_unreachable] *)
+      (** aborted-round retries (2PC or dependent commit) before the
+          coordinator gives up and the run degrades to
+          [Net_unreachable] *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -75,8 +78,10 @@ type config = {
           recovery *)
   policy : Ft_recovery.Policy.t option;
       (** escalation ladder driving recovery (L0 generic replay, L1 deep
-          rollback, L2 perturbed replay); [None] is the legacy
-          generic-replay path, byte-identical to the old engine *)
+          rollback, L2 perturbed replay); [None] is
+          {!Ft_recovery.Policy.generic} with [l0_attempts =
+          max_recovery_attempts].  Every run keeps the crash bar and the
+          sequenced egress channel, whichever ladder it uses *)
   quarantine : Ft_recovery.Quarantine.params option;
       (** per-tenant crash-loop circuit breaker: [threshold] crashes
           within [window_ns] park the whole tenant until a half-open

@@ -79,6 +79,46 @@ let test_table2_mini_campaign () =
         (r.Ft_harness.Table2.failed_recoveries <= r.Ft_harness.Table2.crashes))
     rows
 
+(* Table 2's nvi heap-bit-flip trial at seed 1015060: the kernel fault
+   reaches committed state, so every replay crashes again.  Commits the
+   replay makes underneath the crash point must not refill the recovery
+   budget, or the run spins between crash and recovery until the
+   instruction budget stops it — and Table 2 drops the trial from its
+   crashed runs instead of counting a failed recovery. *)
+let test_table2_crash_loop_gives_up () =
+  let app = Ft_harness.Table1.Nvi in
+  let reference_w = Ft_harness.Table2.workload app in
+  let reference_kernel = Ft_apps.Workload.kernel reference_w in
+  let _, reference =
+    Ft_runtime.Engine.execute
+      ~cfg:(Ft_harness.Table2.base_cfg reference_w)
+      ~kernel:reference_kernel ~programs:reference_w.Ft_apps.Workload.programs
+      ()
+  in
+  let horizon = reference.Ft_runtime.Engine.wall_instructions in
+  let weights = Ft_faults.Os_injector.usage_weights reference_kernel in
+  let w = Ft_harness.Table2.workload app in
+  let cfg =
+    { (Ft_harness.Table2.base_cfg w) with
+      Ft_runtime.Engine.max_instructions = (40 * horizon) + 200_000 }
+  in
+  let kernel = Ft_apps.Workload.kernel w in
+  let plan =
+    Ft_faults.Os_injector.plan ~weights
+      (Random.State.make [| 1015060 |])
+      Ft_faults.Fault_type.Heap_bit_flip
+  in
+  ignore (Ft_faults.Os_injector.arm kernel plan : Ft_os.Kernel.os_fault);
+  let _, r =
+    Ft_runtime.Engine.execute ~cfg ~kernel
+      ~programs:w.Ft_apps.Workload.programs ()
+  in
+  Alcotest.(check bool) "gave up instead of spinning" true
+    (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Recovery_failed);
+  Alcotest.(check bool) "crashes bounded by the recovery budget" true
+    (r.Ft_runtime.Engine.crashes
+    <= cfg.Ft_runtime.Engine.max_recovery_attempts + 2)
+
 let test_analysis_arithmetic () =
   (* the paper's numbers: 35% violations, 15% Heisenbugs -> ~90% conflict *)
   let c =
@@ -372,6 +412,8 @@ let tests =
       test_figure8_xpilot_full_speed;
     Alcotest.test_case "table1 mini campaign" `Slow test_table1_mini_campaign;
     Alcotest.test_case "table2 mini campaign" `Slow test_table2_mini_campaign;
+    Alcotest.test_case "table2 crash loop gives up" `Quick
+      test_table2_crash_loop_gives_up;
     Alcotest.test_case "analysis arithmetic" `Quick test_analysis_arithmetic;
     Alcotest.test_case "report renderer" `Quick test_report_renderer;
     Alcotest.test_case "protocol space render" `Quick

@@ -2,7 +2,7 @@
    quarantine circuit breaker, the fault classifier, and the scheduler
    machinery the ladder rides on — crash-bar escalation, deep rollback,
    and the sequenced egress channel (exactly-once visible output under
-   policy-driven recovery). *)
+   recovery, with or without a configured ladder). *)
 
 open Ft_vm.Asm
 module Policy = Ft_recovery.Policy
@@ -206,11 +206,13 @@ let run_bohr ?policy () =
    ladder burns exactly its budget, the classifier calls it a Bohrbug,
    and — the Consistency half of the tentpole claim — the released
    output stream is EXACTLY the fault-free stream: deep rollback
-   re-emits old outputs and the sequenced egress absorbs every one. *)
+   re-emits old outputs and the sequenced egress absorbs every one.
+   Without a policy the run gets the generic ladder with
+   [max_recovery_attempts] replays, and the same guarantees. *)
 let test_ladder_bohrbug_escalation () =
   List.iter
-    (fun (name, pol, crashes, deep, perturbed, peak) ->
-      let r = run_bohr ~policy:pol () in
+    (fun (name, policy, crashes, deep, perturbed, peak) ->
+      let r = run_bohr ?policy () in
       let check msg = Alcotest.(check int) (name ^ " " ^ msg) in
       Alcotest.(check bool) (name ^ " gave up") true
         (r.Engine.outcome = Engine.Recovery_failed);
@@ -224,9 +226,11 @@ let test_ladder_bohrbug_escalation () =
       Alcotest.(check bool) (name ^ " classified bohrbug") true
         (r.Engine.fault_classes.(0) = Classifier.Bohrbug))
     [
-      ("generic", Policy.generic, 3, 0, 0, 0);
-      ("deep", Policy.deep, 5, 2, 0, 1);
-      ("full", Policy.full, 8, 2, 3, 2);
+      ( "no policy", None,
+        Engine.default_config.Engine.max_recovery_attempts + 1, 0, 0, 0 );
+      ("generic", Some Policy.generic, 3, 0, 0, 0);
+      ("deep", Some Policy.deep, 5, 2, 0, 1);
+      ("full", Some Policy.full, 8, 2, 3, 2);
     ]
 
 (* The crash bar: commits made during replay BELOW the highest crash
@@ -241,10 +245,10 @@ let test_crash_bar_prevents_l0_loop () =
     (r.Engine.outcome = Engine.Recovery_failed);
   Alcotest.(check int) "exactly the L0 budget" 3 r.Engine.crashes
 
-(* Legacy guard: the same Bohrbug on the policy-free path keeps the
-   engine's historical behavior — duplicates in the visible stream are
-   tolerated (no egress dedup without a policy), and the run still ends
-   in Recovery_failed. *)
+(* Policy-free guard: the same Bohrbug with no configured policy still
+   ends in Recovery_failed with a consistent visible stream and no
+   replay mismatches — the guarantees the engine always gave on this
+   path, now delivered by the default generic ladder. *)
 let test_legacy_path_unchanged () =
   let r = run_bohr () in
   Alcotest.(check bool) "legacy gave up" true

@@ -472,6 +472,37 @@ let test_nested_cascade_resumes () =
        ~reference:(pingpong_reference 6)
        ~observed:r.Ft_runtime.Engine.visible)
 
+let test_nested_2pc_round_kill () =
+  (* The coordinator of a 2PC round dies between participants: the
+     participants' commits stand, and the coordinator's replay reruns
+     the round, so the run still completes with the kill-free output and
+     every ND is still committed before an output depends on it.  The
+     model checker's ping-pong keeps its server alive until after the
+     last output, so every round has a participant to die behind. *)
+  let run recovery_kills =
+    let kernel = Ft_os.Kernel.create ~nprocs:2 () in
+    let cfg =
+      { Ft_runtime.Engine.default_config with
+        protocol = Ft_core.Protocols.cpv_2pc;
+        recovery_kills }
+    in
+    snd
+      (Ft_runtime.Engine.execute ~cfg ~kernel
+         ~programs:(Ft_mc.Engine_xcheck.ping_pong ~rounds:3) ())
+  in
+  let reference = run [] in
+  let r = run [ (Ft_runtime.Scheduler.Mid_round, 1) ] in
+  Alcotest.(check int) "nested crash fired" 1
+    r.Ft_runtime.Engine.nested_crashes;
+  Alcotest.(check bool) "completed" true
+    (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed);
+  Alcotest.(check bool) "consistent with the kill-free run" true
+    (Ft_core.Consistency.is_consistent
+       ~reference:reference.Ft_runtime.Engine.visible
+       ~observed:r.Ft_runtime.Engine.visible);
+  Alcotest.(check bool) "Save-work upheld" true
+    (Ft_core.Save_work.holds r.Ft_runtime.Engine.trace)
+
 let test_breaker_counts_nested_crashes () =
   (* The quarantine breaker's sliding window must see recovery-time
      crashes like any other: one scheduled kill plus two nested restore
@@ -852,6 +883,8 @@ let tests =
       test_nested_restore_kill_completes;
     Alcotest.test_case "nested cascade resumes" `Quick
       test_nested_cascade_resumes;
+    Alcotest.test_case "nested 2PC round kill" `Quick
+      test_nested_2pc_round_kill;
     Alcotest.test_case "breaker counts nested crashes" `Quick
       test_breaker_counts_nested_crashes;
     Alcotest.test_case "det cap forces flush" `Quick
