@@ -43,7 +43,15 @@ val filter : t -> (Event.t -> bool) -> Event.t list
     intermediate full-history list). *)
 
 val happens_before : Event.t -> Event.t -> bool
-(** Lamport's happens-before over recorded events. *)
+(** Lamport's happens-before over recorded events.
+
+    {!record} ticks the recording process's own clock entry and merges
+    whole snapshots of earlier events, so for any two events of one
+    trace, [happens_before e1 e2] iff [not (Event.equal e1 e2)] and
+    [e1.index < Vclock.get e2.vc e1.pid]: the events of process [p]
+    that precede [e2] are the first [Vclock.get e2.vc p] of [p]'s
+    history (less [e2] itself).  {!Save_work} rests its per-process
+    binary searches on this. *)
 
 val causally_precedes : Event.t -> Event.t -> bool
 (** The paper uses happens-before as an approximation of causality; this

@@ -312,20 +312,23 @@ let job p ~protocol shard =
         shard_scheduler p ~protocol ~crash_rate:p.crash_rate ~lo ~hi ()
       in
       let results = Scheduler.run sched in
-      (* Fault-free reference per tenant: the Consistency oracle's
-         ground truth and the cost baseline. *)
-      let refs =
-        Array.init (hi - lo) (fun i ->
-            let w = tenant_workload p ~seed:p.seed (lo + i) in
-            let cfg = tenant_config ~protocol ~kills:[] w in
-            let kernel =
-              Ft_apps.Workload.kernel
-                ~seed:(tenant_seed ~seed:p.seed (lo + i) lxor 0x6b)
-                w
-            in
-            snd
-              (Engine.execute ~cfg ~kernel
-                 ~programs:w.Ft_apps.Workload.programs ()))
+      (* Read now: [sched] is dead from here on, so the shard's machines,
+         kernels and checkpointers can be collected before the
+         references run. *)
+      let sched_steps = Scheduler.steps sched in
+      (* Fault-free reference of one tenant, built when its oracles run:
+         the Consistency oracle's ground truth and the cost baseline. *)
+      let reference tid =
+        let w = tenant_workload p ~seed:p.seed tid in
+        let cfg = tenant_config ~protocol ~kills:[] w in
+        let kernel =
+          Ft_apps.Workload.kernel
+            ~seed:(tenant_seed ~seed:p.seed tid lxor 0x6b)
+            w
+        in
+        snd
+          (Engine.execute ~cfg ~kernel ~programs:w.Ft_apps.Workload.programs
+             ())
       in
       let lat_hist = Hashtbl.create 256 in
       let mttr_all = ref [] and mttr_nested = ref [] in
@@ -361,7 +364,7 @@ let job p ~protocol shard =
           recoveries := !recoveries + r.Scheduler.recoveries;
           instr := !instr + r.Scheduler.wall_instructions;
           sim_ns := max !sim_ns r.Scheduler.sim_time_ns;
-          let reference = refs.(i) in
+          let reference = reference (lo + i) in
           ref_instr := !ref_instr + reference.Scheduler.wall_instructions;
           let tname = Printf.sprintf "tenant %d" (lo + i) in
           let poisoned = lo + i < p.poison in
@@ -415,7 +418,7 @@ let job p ~protocol shard =
           ("sim_ns", Jstore.Int !sim_ns);
           ("instr", Jstore.Int !instr);
           ("ref_instr", Jstore.Int !ref_instr);
-          ("sched_steps", Jstore.Int (Scheduler.steps sched));
+          ("sched_steps", Jstore.Int sched_steps);
           ("quarantined_tenants", Jstore.Int !quarantined);
           ("crash_loop_events", Jstore.Int !crash_loops);
           ("nested_crashes", Jstore.Int !nested);

@@ -111,6 +111,33 @@ let test_save_work_orphan_cured_by_sender_commit () =
   ignore (Trace.record t ~pid:1 Event.Crash);
   Alcotest.(check (list int)) "no orphans" [] (Save_work.orphans t)
 
+(* A 100,000-event single-process trace repeating the 10-event block
+   N V N N V C V N C I (N = unlogged ND, V = visible, C = commit,
+   I = internal).  Each block's NDs are committed by its own C's, so
+   only in-block pairs violate: N0 before V1, and N0, N2, N3 before V4
+   (V6 follows C5) -- 4 per block.  Commits on one process create no
+   orphan violations.  The pairwise scan would take minutes here. *)
+let test_save_work_known_answer_100k () =
+  let blocks = 10_000 in
+  let t = Trace.create ~nprocs:1 in
+  let pattern =
+    Event.
+      [ Nd Transient; Visible 0; Nd Fixed; Nd Transient; Visible 1; Commit;
+        Visible 2; Nd Transient; Commit; Internal ]
+  in
+  for _ = 1 to blocks do
+    List.iter (fun k -> ignore (Trace.record t ~pid:0 k)) pattern
+  done;
+  Alcotest.(check int) "100k events" 100_000 (Trace.length t);
+  let vs = Save_work.violations t in
+  Alcotest.(check int) "4 violations per block" (4 * blocks) (List.length vs);
+  (match vs with
+  | v :: _ ->
+      Alcotest.(check (pair int int)) "first: N0 before V1" (0, 1)
+        (v.Save_work.nd.Event.index, v.Save_work.target.Event.index)
+  | [] -> ());
+  Alcotest.(check (list int)) "no orphans" [] (Save_work.orphans t)
+
 (* --- dangerous paths (Figure 6) ------------------------------------------ *)
 
 (* Case A: a deterministic straight line into a crash: every edge is
@@ -875,6 +902,8 @@ let tests =
       test_coloring_fixed_inner;
     Alcotest.test_case "coloring: receive classification" `Quick
       test_coloring_receive_classification;
+    Alcotest.test_case "save-work known answer (100k events)" `Quick
+      test_save_work_known_answer_100k;
   ]
 
 let () =

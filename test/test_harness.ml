@@ -324,6 +324,32 @@ let test_table1_golden () =
     (read_golden "table1_nvi_crashes3.golden")
     actual
 
+(* A tiny fleet under nested crashes (the recovery path itself is
+   killed) with the determinant cap armed, over CPVS and the logging
+   pair: every shard record, key and JSON, pinned byte for byte. *)
+let tiny_nested_params =
+  { tiny_serve_params with
+    requests = 3000;
+    recovery_crash_rate = 2.0;
+    det_cap = 64 }
+
+let test_serve_tiny_nested_golden () =
+  let jobs =
+    Ft_harness.Serve.jobs
+      ~protocols:Ft_core.Protocols.[ cpvs; causal_log; optimistic ]
+      tiny_nested_params
+  in
+  let actual =
+    String.concat ""
+      (List.map
+         (fun (key, v) -> key ^ "\n" ^ Ft_exp.Jstore.to_string v ^ "\n")
+         (Ft_exp.Exp.eval ~workers:1 jobs))
+  in
+  Alcotest.(check string)
+    "nested-crash fleet shard records are byte-identical"
+    (read_golden "serve_tiny_nested.golden")
+    actual
+
 (* --- quarantine in the fleet (ladder rung L3) ------------------------------ *)
 
 (* One tenant carries a deterministic Bohrbug (wild jump): generic
@@ -435,6 +461,8 @@ let tests =
     Alcotest.test_case "serve quarantines poisoned tenant" `Slow
       test_serve_quarantines_poisoned_tenant;
     Alcotest.test_case "rescue tiny campaign" `Slow test_rescue_tiny_campaign;
+    Alcotest.test_case "serve tiny nested golden" `Quick
+      test_serve_tiny_nested_golden;
   ]
 
 let () = Alcotest.run "ft_harness" [ ("harness", tests) ]

@@ -568,6 +568,142 @@ let test_logging_conformance_scripts () =
              | _ -> false)
            (Trace.events t))
 
+(* --- Save-work oracle vs the theorem, pairwise ---------------------------- *)
+
+(* A random multi-process trace drawn from [seed]: sends (some reusing a
+   tag), receives (some with a tag no send carries), logged events,
+   plain commits, Commit_round rounds (some reopened later, so a round
+   can hold several commits of one process) and crashes. *)
+let random_trace seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let nprocs = 1 + int 4 in
+  let t = Trace.create ~nprocs in
+  let tags = ref 0 and rounds = ref 0 in
+  for _ = 1 to int 90 do
+    let pid = int nprocs in
+    let logged = int 4 = 0 in
+    let record kind = ignore (Trace.record t ~pid ~logged kind) in
+    match int 12 with
+    | 0 | 1 -> record (Event.Nd (if int 2 = 0 then Transient else Fixed))
+    | 2 | 3 -> record (Event.Visible (int 50))
+    | 4 ->
+        let tag = if !tags > 0 && int 4 = 0 then int !tags else !tags in
+        if tag = !tags then incr tags;
+        record (Event.Send { dest = int nprocs; tag })
+    | 5 | 6 ->
+        record (Event.Receive { src = int nprocs; tag = int (!tags + 3) })
+    | 7 -> ignore (Trace.record t ~pid Event.Commit)
+    | 8 ->
+        let r = if !rounds > 0 && int 2 = 0 then int !rounds else !rounds in
+        if r = !rounds then incr rounds;
+        for p = 0 to nprocs - 1 do
+          if int 2 = 0 then
+            ignore (Trace.record t ~pid:p (Event.Commit_round r))
+        done
+    | 9 -> ignore (Trace.record t ~pid Event.Crash)
+    | _ -> record Event.Internal
+  done;
+  t
+
+(* The theorem read literally, over every (ND event, target) pair: a
+   violation is an ND event on [p] that happens-before a target with no
+   later commit on [p] that happens-before, is, or is atomic with a
+   commit that happens-before or is the target. *)
+let pairwise_violations trace =
+  let events = Trace.events trace in
+  let commits = List.filter Event.is_commit events in
+  let at_or_before c target =
+    Event.equal c target || Trace.happens_before c target
+  in
+  let reaches c target =
+    at_or_before c target
+    || List.exists
+         (fun c' -> Event.atomic_with c c' && at_or_before c' target)
+         commits
+  in
+  let covered (nd : Event.t) target =
+    List.exists
+      (fun (c : Event.t) ->
+        c.pid = nd.pid && c.index > nd.index && reaches c target)
+      commits
+  in
+  let against ~others_only targets =
+    List.concat_map
+      (fun (nd : Event.t) ->
+        List.filter_map
+          (fun (target : Event.t) ->
+            if
+              Trace.happens_before nd target
+              && (not (others_only && target.pid = nd.pid))
+              && not (covered nd target)
+            then Some { Save_work.nd; target }
+            else None)
+          targets)
+      (List.filter Event.is_nd events)
+  in
+  against ~others_only:false (List.filter Event.is_visible events)
+  @ against ~others_only:true commits
+
+(* Processes with a commit that some other process's lost ND event (on
+   a crashed process, after its last commit) happens-before. *)
+let pairwise_orphans trace =
+  let events = Trace.events trace in
+  let lost =
+    List.filter
+      (fun (nd : Event.t) ->
+        Event.is_nd nd
+        && List.exists
+             (fun (e : Event.t) -> e.pid = nd.pid && Event.is_crash e)
+             events
+        && List.for_all
+             (fun (c : Event.t) ->
+               c.pid <> nd.pid
+               || (not (Event.is_commit c))
+               || c.index < nd.index)
+             events)
+      events
+  in
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (c : Event.t) ->
+         if
+           Event.is_commit c
+           && List.exists
+                (fun (nd : Event.t) ->
+                  nd.pid <> c.pid && Trace.happens_before nd c)
+                lost
+         then Some c.pid
+         else None)
+       events)
+
+(* Trace.happens_before's vector-clock projection, for every pair. *)
+let horizon_rule_holds trace =
+  let events = Trace.events trace in
+  List.for_all
+    (fun (e1 : Event.t) ->
+      List.for_all
+        (fun (e2 : Event.t) ->
+          Trace.happens_before e1 e2
+          = ((not (Event.equal e1 e2))
+            && e1.index < Vclock.get e2.vc e1.pid))
+        events)
+    events
+
+(* Runs [long_factor] times longer under QCHECK_LONG (the CI soak). *)
+let save_work_equivalence_prop =
+  QCheck.Test.make ~name:"save-work oracle equals the pairwise theorem"
+    ~count:300 ~long_factor:100
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+    (fun seed ->
+      let t = random_trace seed in
+      horizon_rule_holds t
+      && Save_work.violations t = pairwise_violations t
+      && Save_work.visible_violations t
+         @ Save_work.orphan_violations t
+         = pairwise_violations t
+      && Save_work.orphans t = pairwise_orphans t)
+
 (* --- conformance harness regressions ------------------------------------- *)
 
 (* A Receive with nothing pending must be skipped outright: no event
@@ -633,4 +769,10 @@ let tests =
       Alcotest.test_case "sbl logs receives" `Quick test_sbl_logs_receives;
     ]
 
-let () = Alcotest.run "ft_props" [ ("properties", tests) ]
+(* its own group, so a soak can select it: test_props.exe test save-work *)
+let save_work_tests =
+  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick save_work_equivalence_prop ]
+
+let () =
+  Alcotest.run "ft_props"
+    [ ("properties", tests); ("save-work", save_work_tests) ]
