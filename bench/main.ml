@@ -547,24 +547,39 @@ let micro_serve_fleet =
          in
          Sys.opaque_identity (Ft_runtime.Scheduler.run s)))
 
-(* Fleet scheduler throughput (scheduling steps per wall second) and the
-   tail latency of a tiny oracle-checked campaign — the units `ft serve`
-   reports, tracked across PRs in BENCH_RESULTS.json. *)
+(* Fleet scheduler throughput (scheduling steps per wall second and wall
+   ns per step), its major-heap allocation per request (building the
+   shard included) and the tail latency of a tiny oracle-checked
+   campaign — the units `ft serve` reports, tracked across PRs in
+   BENCH_RESULTS.json. *)
 let serve_stats ~quick () =
   print_string
     (Ft_harness.Report.section "Fleet scheduler (ft serve units)");
   let tenants = if quick then 8 else 32 in
+  let queries_per_tenant = 50 in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let sched =
-    Ft_harness.Serve.fleet ~tenants ~queries_per_tenant:50 ~seed:11 ()
+    Ft_harness.Serve.fleet ~tenants ~queries_per_tenant ~seed:11 ()
   in
   let t0 = Unix.gettimeofday () in
   ignore (Ft_runtime.Scheduler.run sched);
   let dt = Unix.gettimeofday () -. t0 in
+  let major_words = (Gc.quick_stat ()).Gc.major_words -. major0 in
   let steps = Ft_runtime.Scheduler.steps sched in
   let rate = if dt < 1e-6 then 0. else float_of_int steps /. dt in
+  let ns_per_step =
+    if steps = 0 then 0. else dt *. 1e9 /. float_of_int steps
+  in
+  let bytes_per_request =
+    major_words *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (tenants * queries_per_tenant)
+  in
   Printf.printf
-    "scheduler: %d tenants, %d steps in %6.3f s = %9.0f steps/s\n" tenants
-    steps dt rate;
+    "scheduler: %d tenants, %d steps in %6.3f s = %9.0f steps/s \
+     (%.0f ns/step)\n"
+    tenants steps dt rate ns_per_step;
+  Printf.printf "major heap: %.0f B/request (shard built and run)\n"
+    bytes_per_request;
   let report =
     Ft_harness.Serve.run ~quiet:true
       { Ft_harness.Serve.smoke_params with seed = 11 }
@@ -575,7 +590,7 @@ let serve_stats ~quick () =
     | [] -> 0
   in
   Printf.printf "p999     : %d ns (smoke fleet, CPVS, kills on)\n" p999;
-  (rate, p999)
+  (rate, ns_per_step, bytes_per_request, p999)
 
 (* Rescued fraction per escalation rung on the smoke campaign, plus the
    quarantine breaker on a one-looper fleet — the `ft rescue` / `ft
@@ -774,9 +789,11 @@ let write_json ~path ~quick ~fig8 ~mc ~goodput ~commit_panel ~serve ~rescue
                       match speedup with Some s -> Float s | None -> Null );
                   ] );
             ])
-      @ (let steps_per_s, p999 = serve in
+      @ (let steps_per_s, ns_per_step, bytes_per_request, p999 = serve in
          [
            ("serve_sched_steps_per_s", Float steps_per_s);
+           ("serve_ns_per_step", Float ns_per_step);
+           ("serve_rss_bytes_per_request", Float bytes_per_request);
            ("serve_p999_ns", Int p999);
          ])
       @ rescue @ quarantine @ nested

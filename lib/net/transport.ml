@@ -105,6 +105,7 @@ type 'a t = {
   mutable queue : 'a event Q.t;
   mutable next_id : int;
   mutable watermark : int;  (* pump has processed everything <= this *)
+  mutable version : int;  (* bumped by every queued and every fired event *)
   mutable s_sends : int;
   mutable s_transmissions : int;
   mutable s_retransmits : int;
@@ -142,6 +143,7 @@ let create ?(policy = fun _ _ -> Policy.reliable) ?rto_ns
     queue = Q.empty;
     next_id = 0;
     watermark = 0;
+    version = 0;
     s_sends = 0;
     s_transmissions = 0;
     s_retransmits = 0;
@@ -190,6 +192,7 @@ let link t ~src ~dst =
       l
 
 let schedule t ~at ev =
+  t.version <- t.version + 1;
   let id = t.next_id in
   t.next_id <- id + 1;
   t.queue <- Q.add (at, id) ev t.queue
@@ -326,6 +329,7 @@ let pump t ~now =
     match Q.min_binding_opt t.queue with
     | Some ((at, _id), ev) when at <= t.watermark ->
         t.queue <- Q.remove (at, _id) t.queue;
+        t.version <- t.version + 1;
         handle t ~at ev
     | _ -> continue := false
   done
@@ -336,6 +340,7 @@ let next_event t =
   | None -> None
 
 let pending t = not (Q.is_empty t.queue)
+let version t = t.version
 
 (* Range-restricted views for a multi-tenant scheduler sharing one
    transport: a tenant owning global pids [lo, hi) must judge deadlock

@@ -74,6 +74,13 @@ val next_event : 'a t -> int option
 
 val pending : 'a t -> bool
 
+val version : 'a t -> int
+(** A counter bumped whenever an event is queued or fired.  Everything
+    the transport can tell a caller about one pid range — its pending
+    events, their times, the deliveries into its mailboxes — is
+    unchanged while the version stands still; the multi-tenant
+    scheduler re-keys a shared transport's tenants only when it moves. *)
+
 val pending_in : 'a t -> lo:int -> hi:int -> bool
 (** Like {!pending}, restricted to events whose sending endpoint lies in
     [lo, hi) — one tenant's slice of a shared transport.  Links never

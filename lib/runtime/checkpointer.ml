@@ -50,11 +50,16 @@ let default_cost = {
    Everything mutable about a slot is region words — the OCaml record is
    pure layout, so a slot rebuilt over an old region (simulating a
    process that lost its heap in a crash) restores identically. *)
-(* One archived committed generation, for deep rollback.  The kernel
-   state is held serialized (the same pure word form the region uses) so
-   the archive shares no mutable structure with the live kernel. *)
+(* One archived committed generation, for deep rollback, in the same
+   word form the region uses: the metadata words, the live stack, the
+   heap image and the serialized kernel state, so the archive shares no
+   mutable structure with the live machine or kernel.  The heap image
+   is a Rio region of its own, which holds host memory only for the
+   chunks with a nonzero word: most of a heap is never written. *)
 type gen = {
-  g_snap : Ft_vm.Machine.snapshot;
+  g_meta : int array;
+  g_stack : int array;
+  g_heap : Ft_stablemem.Rio.t;
   g_kwords : int array;
   g_out_seq : int;
       (* visible outputs released as of this generation: restored with it
@@ -200,16 +205,26 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
   Ft_stablemem.Vista.commit v;
   Ft_vm.Memory.clear_dirty heap;
   if t.history > 0 then begin
+    (* A full archive drops its oldest generation to make room: refill
+       that generation's heap image rather than create a fresh one.
+       Nothing else holds it — rollback copies out of archived images,
+       never aliases them. *)
+    let kept, image =
+      match List.rev s.archive with
+      | oldest :: newer
+        when List.length s.archive >= t.history
+             && Ft_stablemem.Rio.size oldest.g_heap = Ft_vm.Memory.size heap ->
+          (List.rev newer, oldest.g_heap)
+      | _ ->
+          (s.archive, Ft_stablemem.Rio.create ~size:(Ft_vm.Memory.size heap))
+    in
+    Ft_stablemem.Rio.blit_in image ~off:0 (Ft_vm.Memory.words heap);
     let g =
-      { g_snap = Ft_vm.Machine.snapshot machine; g_kwords = kw;
-        g_out_seq = out_seq }
+      { g_meta = Array.copy s.meta_buf;
+        g_stack = Array.sub machine.Ft_vm.Machine.stack 0 sp;
+        g_heap = image; g_kwords = kw; g_out_seq = out_seq }
     in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    s.archive <- take t.history (g :: s.archive)
+    s.archive <- g :: kept
   end;
   let words =
     (List.length dirty * page_size) + sp + meta_words + t.cost.kstate_words
@@ -234,6 +249,23 @@ let log_cost t ~words =
   | Reliable_memory -> 1_000 + (words * t.cost.word_copy_ns)
   | Disk d -> Ft_stablemem.Disk.write_cost d ~words
 
+(* The machine image committed as metadata words [meta] (see [commit]),
+   live stack [stack] and heap words [heap]. *)
+let committed_image ~meta ~stack ~heap =
+  let nregs = Ft_vm.Instr.num_regs in
+  {
+    Ft_vm.Machine.s_code_len = 0;
+    s_pc = meta.(nregs);
+    s_regs = Array.sub meta 0 nregs;
+    s_stack = stack;
+    s_sp = meta.(nregs + 1);
+    s_fp = meta.(nregs + 2);
+    s_heap = heap;
+    s_icount = meta.(nregs + 3);
+    s_signal_handler = meta.(nregs + 4);
+    s_in_signal = meta.(nregs + 5) = 1;
+  }
+
 (* Restore [machine] (and return the kernel state) from the last
    checkpoint, purely from region words.  Returns the simulated recovery
    cost. *)
@@ -247,24 +279,9 @@ let restore t ~pid ~(machine : Ft_vm.Machine.t) =
   let region = Ft_stablemem.Vista.region s.vista in
   let heap = Ft_stablemem.Rio.sub region ~off:0 ~len:s.heap_words in
   let meta = Ft_stablemem.Rio.sub region ~off:s.meta_base ~len:meta_words in
-  let nregs = Ft_vm.Instr.num_regs in
-  let sp = meta.(nregs + 1) in
+  let sp = meta.(Ft_vm.Instr.num_regs + 1) in
   let stack = Ft_stablemem.Rio.sub region ~off:s.stack_base ~len:sp in
-  let snap =
-    {
-      Ft_vm.Machine.s_code_len = 0;
-      s_pc = meta.(nregs);
-      s_regs = Array.sub meta 0 nregs;
-      s_stack = stack;
-      s_sp = sp;
-      s_fp = meta.(nregs + 2);
-      s_heap = heap;
-      s_icount = meta.(nregs + 3);
-      s_signal_handler = meta.(nregs + 4);
-      s_in_signal = meta.(nregs + 5) = 1;
-    }
-  in
-  Ft_vm.Machine.restore machine snap;
+  Ft_vm.Machine.restore machine (committed_image ~meta ~stack ~heap);
   let klen = Ft_stablemem.Rio.read region s.kstate_base in
   if klen < 0 || klen > s.kstate_cap then
     invalid_arg "Checkpointer.restore: corrupt kernel state";
@@ -301,7 +318,11 @@ let rollback t ~pid ~(machine : Ft_vm.Machine.t) ~back =
       (* A crash may have interrupted a commit: roll its partial
          transaction back first, as restore does. *)
       Ft_stablemem.Vista.recover s.vista;
-      Ft_vm.Machine.restore machine g.g_snap;
+      Ft_vm.Machine.restore machine
+        (committed_image ~meta:g.g_meta ~stack:g.g_stack
+           ~heap:
+             (Ft_stablemem.Rio.sub g.g_heap ~off:0
+                ~len:(Ft_stablemem.Rio.size g.g_heap)));
       let heap = Ft_vm.Machine.heap machine in
       let page_size = Ft_vm.Memory.page_size heap in
       let npages = (s.heap_words + page_size - 1) / page_size in

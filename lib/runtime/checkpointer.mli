@@ -39,7 +39,10 @@ val create :
     it sizes the persisted undo log for the worst-case transaction
     (every page dirty).  [history] (default 0) keeps that many committed
     generations per process for {!rollback}; 0 disables the archive and
-    leaves the commit hot path allocation-free. *)
+    leaves the commit hot path allocation-free.  Archived heap images
+    are sparse ({!Ft_stablemem.Rio} regions); once the archive is full,
+    each commit refills the heap image of the generation it drops
+    instead of creating a new one. *)
 
 val checkpoints : t -> pid:int -> int
 (** Checkpoints taken, read from the persisted commits counter. *)

@@ -1426,9 +1426,10 @@ let step t tn =
    schedule it immediately so its verdict is not delayed. *)
 let tenant_next_time tn =
   let best = ref max_int in
-  Array.iter
-    (fun p -> if runnable tn p && p.time < !best then best := p.time)
-    tn.procs;
+  for i = 0 to Array.length tn.procs - 1 do
+    let p = tn.procs.(i) in
+    if runnable tn p && p.time < !best then best := p.time
+  done;
   if !best < max_int then !best
   else
     match Ft_os.Kernel.net tn.kernel with
@@ -1439,31 +1440,114 @@ let tenant_next_time tn =
         | None -> min_int)
     | None -> min_int
 
-(* Pick the live tenant furthest behind on the virtual clock (ties break
-   to the lowest tenant id — the strict [<] keeps the first minimum). *)
-let pick_tenant t =
-  let best = ref None in
-  let best_time = ref max_int in
+(* The tenant picker: an indexed binary min-heap of live tenant ids
+   ordered by (next time, tid), so its top is exactly the live tenant
+   furthest behind on the virtual clock with ties to the lowest tid.
+   Keys are cached: a step re-keys only what it can have moved (see
+   [run]).  Allocation-free once built. *)
+module Picker = struct
+  type t = {
+    heap : int array;  (* tids, heap-ordered in [0, size) *)
+    slot : int array;  (* tid -> its index in [heap]; -1 when not in it *)
+    key : int array;   (* tid -> next time as of its last re-key *)
+    mutable size : int;
+  }
+
+  let before p a b =
+    let ka = p.key.(a) and kb = p.key.(b) in
+    ka < kb || (ka = kb && a < b)
+
+  let place p i tid =
+    p.heap.(i) <- tid;
+    p.slot.(tid) <- i
+
+  let rec sift_up p i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      let a = p.heap.(i) and b = p.heap.(parent) in
+      if before p a b then begin
+        place p i b;
+        place p parent a;
+        sift_up p parent
+      end
+    end
+
+  let rec sift_down p i =
+    let l = (2 * i) + 1 in
+    if l < p.size then begin
+      let c =
+        if l + 1 < p.size && before p p.heap.(l + 1) p.heap.(l) then l + 1
+        else l
+      in
+      let a = p.heap.(i) and b = p.heap.(c) in
+      if before p b a then begin
+        place p i b;
+        place p c a;
+        sift_down p c
+      end
+    end
+
+  let create n =
+    { heap = Array.make n 0; slot = Array.make n (-1); key = Array.make n 0;
+      size = 0 }
+
+  let add p tid k =
+    p.key.(tid) <- k;
+    place p p.size tid;
+    p.size <- p.size + 1;
+    sift_up p (p.size - 1)
+
+
+  let rekey p tid k =
+    p.key.(tid) <- k;
+    sift_up p p.slot.(tid);
+    sift_down p p.slot.(tid)
+
+  let remove p tid =
+    let i = p.slot.(tid) in
+    p.slot.(tid) <- -1;
+    p.size <- p.size - 1;
+    if i < p.size then begin
+      let moved = p.heap.(p.size) in
+      place p i moved;
+      sift_up p i;
+      sift_down p p.slot.(moved)
+    end
+end
+
+(* Step the live tenant furthest behind on the virtual clock until every
+   tenant has a result.
+
+   Re-keying invariant: a tenant's next time depends only on its own
+   processes, its own kernel's mailboxes and its own events on its
+   transport.  A step mutates only the stepped tenant — except through a
+   shared transport, where pumping fires co-tenants' events (filling
+   their mailboxes) and sends queue events.  Both move the transport's
+   version, so when the version is unchanged across a step only the
+   stepped tenant's key can have moved; otherwise every live tenant on
+   that transport is re-keyed.  The heap's top is then exactly what a
+   scan of fresh keys over all live tenants would pick. *)
+let run t =
+  let picker = Picker.create (Array.length t.tenants) in
   Array.iter
     (fun tn ->
-      if tn.result = None then begin
-        let at = tenant_next_time tn in
-        if at < !best_time || !best = None then begin
-          best := Some tn;
-          best_time := at
-        end
-      end)
+      if tn.result = None then Picker.add picker tn.tid (tenant_next_time tn))
     t.tenants;
-  !best
-
-let run t =
-  let rec drive () =
-    if t.live = 0 then Array.map (fun tn -> Option.get tn.result) t.tenants
-    else begin
-      (match pick_tenant t with
-      | Some tn -> step t tn
-      | None -> assert false);
-      drive ()
-    end
-  in
-  drive ()
+  let rekey tn = Picker.rekey picker tn.tid (tenant_next_time tn) in
+  while t.live > 0 do
+    let tn = t.tenants.(picker.Picker.heap.(0)) (* the heap's top *) in
+    let net = Ft_os.Kernel.net tn.kernel in
+    let version = Option.fold ~none:0 ~some:Ft_net.Transport.version net in
+    step t tn;
+    if tn.result = None then rekey tn else Picker.remove picker tn.tid;
+    match net with
+    | Some net when Ft_net.Transport.version net <> version ->
+        Array.iter
+          (fun co ->
+            match Ft_os.Kernel.net co.kernel with
+            | Some n when n == net && co.result = None -> rekey co
+            | _ -> ())
+          t.tenants
+    | _ -> ()
+  done;
+  Array.map (fun tn -> Option.get tn.result) t.tenants

@@ -1,7 +1,12 @@
 (** A Rio-style reliable memory region (paper §3): word-addressable
     memory that survives simulated process and OS crashes, with write
     accounting for the commit cost model and a word-granular write hook
-    for crash-point fault injection. *)
+    for crash-point fault injection.
+
+    A region holds host memory only where it has been written: it is
+    stored in chunks of {!chunk_words} words, a chunk is allocated when
+    a nonzero word is first written into it, and an absent chunk reads
+    as zero. *)
 
 exception Crash_point of int
 (** Raised by a write hook to model a crash after the carried number of
@@ -10,7 +15,16 @@ exception Crash_point of int
 type t
 
 val create : size:int -> t
+(** A region of [size] words, all zero, with no chunk allocated. *)
+
 val size : t -> int
+
+val chunk_words : int
+(** Words per chunk: the granularity of the region's host memory. *)
+
+val chunks_allocated : t -> int
+(** Chunks holding host memory: those into which a nonzero word has
+    been written (by any path, {!poke} included). *)
 
 val set_on_write : t -> (int -> int -> unit) option -> unit
 (** Install (or clear) the write hook.  The hook sees (offset, value)
@@ -20,10 +34,6 @@ val set_on_write : t -> (int -> int -> unit) option -> unit
     is exactly the failure the torture harness explores. *)
 
 val read : t -> int -> int
-
-val unsafe_read : t -> int -> int
-(** [read] without the bounds check, for hot scans that validated their
-    whole range up front. *)
 
 val write : t -> int -> int -> unit
 
@@ -45,6 +55,16 @@ val copy_within : t -> src_off:int -> dst_off:int -> len:int -> unit
 
 val blit_out : t -> off:int -> int array -> unit
 val sub : t -> off:int -> len:int -> int array
+
+val diff_runs :
+  t -> off:int -> int array -> spos:int -> len:int -> gap:int ->
+  (int * int) list
+(** [diff_runs t ~off src ~spos ~len ~gap] compares
+    [src.(spos .. spos+len-1)] with region words [off, off+len) and
+    returns the changed words coalesced into runs, as (start, length)
+    pairs relative to [spos], ascending: two changed words whose gap of
+    unchanged words is at most [gap] share a run.  [[]] when nothing
+    changed.  The scan for Vista's diff-mode writes. *)
 
 val poke : t -> int -> int -> unit
 (** Out-of-band mutation for fault injectors (cold-region bit flips):

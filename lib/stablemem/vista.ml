@@ -118,30 +118,6 @@ let write_run t ~off src ~spos ~len =
    against a saved 2-word record header, so small gaps amortize. *)
 let diff_gap = 2
 
-(* Compute the coalesced changed runs of [src] against the region, as
-   (start, len) pairs relative to [spos], newest last; [] when the
-   range is unchanged. *)
-let changed_runs t ~off src ~spos ~len =
-  let runs = ref [] in
-  let run_start = ref (-1) and run_end = ref (-1) in
-  let flush () =
-    if !run_start >= 0 then
-      runs := (!run_start, !run_end - !run_start + 1) :: !runs
-  in
-  for i = 0 to len - 1 do
-    if Array.unsafe_get src (spos + i) <> Rio.unsafe_read t.region (off + i)
-    then begin
-      if !run_start < 0 then run_start := i
-      else if i - !run_end > diff_gap + 1 then begin
-        flush ();
-        run_start := i
-      end;
-      run_end := i
-    end
-  done;
-  flush ();
-  List.rev !runs
-
 (* Transactional write of a sub-range: log the before-image(s), then
    update.  In diff mode the incoming words are compared against the
    region and only the changed runs are logged and stored — unless the
@@ -158,7 +134,7 @@ let write_sub ?(diff = false) t ~off ~src ~spos ~len =
     invalid_arg "Vista.write_range: bad source range";
   if not diff then write_run t ~off src ~spos ~len
   else
-    let runs = changed_runs t ~off src ~spos ~len in
+    let runs = Rio.diff_runs t.region ~off src ~spos ~len ~gap:diff_gap in
     let diff_log_words =
       List.fold_left (fun acc (_, rlen) -> acc + rlen + 2) 0 runs
     in

@@ -92,6 +92,8 @@ let restore_page t p words =
 
 let snapshot t = Array.copy t.data
 
+let words t = t.data
+
 let restore t words =
   if Array.length words <> Array.length t.data then begin
     t.data <- Array.copy words;

@@ -36,5 +36,11 @@ val iter_page : t -> int -> (int -> int -> unit) -> unit
     in address order, without copying the page. *)
 
 val snapshot : t -> int array
+
+val words : t -> int array
+(** The heap's live backing array, for bulk copies out of it without
+    allocating a snapshot.  Read it only: a write through it would
+    bypass bounds and dirty-page tracking. *)
+
 val restore : t -> int array -> unit
 (** Also clears dirty tracking. *)

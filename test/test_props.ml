@@ -704,6 +704,219 @@ let save_work_equivalence_prop =
          = pairwise_violations t
       && Save_work.orphans t = pairwise_orphans t)
 
+(* --- Rio against a flat-array model --------------------------------------- *)
+
+module Rio = Ft_stablemem.Rio
+
+(* The model: one flat array, every store literal.  [m_touched] marks
+   the chunks a nonzero word was ever stored into — exactly the chunks
+   the real region must have allocated. *)
+type rio_model = {
+  m_words : int array;
+  mutable m_written : int;
+  mutable m_hook : (int -> int -> unit) option;
+  m_touched : bool array;
+}
+
+let model_store m off v =
+  m.m_words.(off) <- v;
+  if v <> 0 then m.m_touched.(off / Rio.chunk_words) <- true
+
+let model_write m off v =
+  (match m.m_hook with Some f -> f off v | None -> ());
+  model_store m off v;
+  m.m_written <- m.m_written + 1
+
+let model_diff_runs m ~off src ~spos ~len ~gap =
+  let runs = ref [] and start = ref (-1) and last = ref (-1) in
+  for i = 0 to len - 1 do
+    if src.(spos + i) <> m.m_words.(off + i) then begin
+      if !start < 0 then start := i
+      else if i - !last > gap + 1 then begin
+        runs := (!start, !last - !start + 1) :: !runs;
+        start := i
+      end;
+      last := i
+    end
+  done;
+  if !start >= 0 then runs := (!start, !last - !start + 1) :: !runs;
+  List.rev !runs
+
+(* A write hook logging every (offset, value) it is shown, raising
+   [Crash_point] at its [crash_at]th word (never again after). *)
+let recording_hook ~crash_at =
+  let log = ref [] and seen = ref 0 in
+  let hook off v =
+    log := (off, v) :: !log;
+    incr seen;
+    if !seen = crash_at then raise (Rio.Crash_point (!seen - 1))
+  in
+  (hook, log)
+
+(* Drive a region and the model through the same random operations
+   drawn from [seed] — writes (many of them zeros), blits and
+   region-to-region copies straddling chunk boundaries, pokes, reads,
+   [sub], [blit_out] and the diff scan — with the hook installed and
+   removed along the way, some hooks crashing mid-blit.  After every
+   operation: same results, same [words_written], same hook log, same
+   torn state; at the end, the same words and the allocated chunks
+   exactly those a nonzero word was stored into. *)
+let rio_agrees seed =
+  let rng = Random.State.make [| seed; 0x52_69_6f |] in
+  let int n = Random.State.int rng n in
+  let cw = Rio.chunk_words in
+  let size = 1 + int ((4 * cw) + 300) in
+  let nchunks = (size + cw - 1) / cw in
+  let r = Rio.create ~size in
+  let m =
+    { m_words = Array.make size 0; m_written = 0; m_hook = None;
+      m_touched = Array.make nchunks false }
+  in
+  let value () =
+    match int 5 with
+    | 0 | 1 -> 0
+    | 2 -> 1 + int 9
+    | _ -> int 2_000_000 - 1_000_000
+  in
+  (* an offset, half the time within a few words of a chunk boundary *)
+  let offset () =
+    if int 2 = 0 then int size
+    else max 0 (min (size - 1) ((cw * (1 + int nchunks)) - 6 + int 12))
+  in
+  let range () =
+    let off = offset () in
+    (off, int (min (size - off) ((2 * cw) + 10) + 1))
+  in
+  (* all zeros, dense, or zeros with a few nonzero words placed at the
+     range's ends and on chunk-boundary words — where a chunk that must
+     be allocated by one word is easiest to miss *)
+  let source ~off len =
+    let spos = int 4 in
+    let a = Array.make (spos + len + int 4) 0 in
+    (match int 3 with
+    | 0 -> ()
+    | 1 -> Array.iteri (fun i _ -> a.(i) <- value ()) a
+    | _ ->
+        for _ = 0 to int 3 do
+          let edge = (cw * (1 + int nchunks)) - off - int 2 in
+          let i =
+            match int 3 with
+            | 0 -> 0
+            | 1 -> len - 1
+            | _ -> if edge >= 0 && edge < len then edge else int (max 1 len)
+          in
+          if i >= 0 && i < len then a.(spos + i) <- 1 + int 9
+        done);
+    (a, spos)
+  in
+  let logs = ref None in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  (* run [f] on the region and [g] on the model; both raise or neither *)
+  let both f g =
+    let crashed h =
+      match h () with () -> false | exception Rio.Crash_point _ -> true
+    in
+    check (crashed f = crashed g)
+  in
+  for _ = 1 to 60 do
+    (match int 11 with
+    | 0 | 1 ->
+        let off = offset () and v = value () in
+        both (fun () -> Rio.write r off v) (fun () -> model_write m off v)
+    | 2 | 3 ->
+        let off, len = range () in
+        let src, spos = source ~off len in
+        both
+          (fun () -> Rio.blit_sub_in r ~off src ~spos ~len)
+          (fun () ->
+            for i = 0 to len - 1 do
+              model_write m (off + i) src.(spos + i)
+            done)
+    | 4 ->
+        let len = int (min (size / 2) (cw + 40) + 1) in
+        (* a third of the copies start, a third end, on a nonzero word *)
+        let nonzero =
+          let start = int size in
+          let rec find k =
+            if k = size then None
+            else
+              let i = (start + k) mod size in
+              if m.m_words.(i) <> 0 then Some i else find (k + 1)
+          in
+          find 0
+        in
+        let src_off =
+          match (int 3, nonzero) with
+          | 0, Some i -> i
+          | 1, Some i -> i - len + 1
+          | _ -> int (size - len + 1)
+        in
+        let dst_off = int (size - len + 1) in
+        if len > 0 && src_off >= 0 && src_off + len <= size
+           && (src_off + len <= dst_off || dst_off + len <= src_off)
+        then
+          both
+            (fun () -> Rio.copy_within r ~src_off ~dst_off ~len)
+            (fun () ->
+              for i = 0 to len - 1 do
+                model_write m (dst_off + i) m.m_words.(src_off + i)
+              done)
+    | 5 ->
+        let off = offset () and v = value () in
+        Rio.poke r off v;
+        model_store m off v
+    | 6 ->
+        let off, len = range () in
+        check (Rio.sub r ~off ~len = Array.sub m.m_words off len);
+        let dst = Array.make len 7 in
+        Rio.blit_out r ~off dst;
+        check (dst = Array.sub m.m_words off len)
+    | 7 | 8 ->
+        let off, len = range () in
+        let src, spos = source ~off len in
+        (* half the time: the region's own words with a few changes, so
+           runs and gaps are short *)
+        if int 2 = 0 then begin
+          Array.blit m.m_words off src spos len;
+          for _ = 0 to int 6 do
+            if len > 0 then src.(spos + int len) <- value ()
+          done
+        end;
+        let gap = int 4 in
+        check
+          (Rio.diff_runs r ~off src ~spos ~len ~gap
+          = model_diff_runs m ~off src ~spos ~len ~gap)
+    | 9 ->
+        let crash_at = if int 3 = 0 then 1 + int 60 else 0 in
+        let h, log = recording_hook ~crash_at in
+        let h', log' = recording_hook ~crash_at in
+        Rio.set_on_write r (Some h);
+        m.m_hook <- Some h';
+        logs := Some (log, log')
+    | _ ->
+        Rio.set_on_write r None;
+        m.m_hook <- None;
+        logs := None);
+    check (Rio.words_written r = m.m_written);
+    match !logs with
+    | Some (log, log') -> check (!log = !log')
+    | None -> ()
+  done;
+  let off = int size in
+  check (Rio.read r off = m.m_words.(off));
+  !ok
+  && Rio.sub r ~off:0 ~len:size = m.m_words
+  && Rio.chunks_allocated r
+     = Array.fold_left (fun n b -> if b then n + 1 else n) 0 m.m_touched
+
+(* Runs [long_factor] times longer under QCHECK_LONG (the CI soak). *)
+let rio_model_prop =
+  QCheck.Test.make ~name:"chunked Rio region equals a flat-array model"
+    ~count:300 ~long_factor:100
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+    rio_agrees
+
 (* --- conformance harness regressions ------------------------------------- *)
 
 (* A Receive with nothing pending must be skipped outright: no event
@@ -773,6 +986,11 @@ let tests =
 let save_work_tests =
   [ QCheck_alcotest.to_alcotest ~speed_level:`Quick save_work_equivalence_prop ]
 
+(* likewise: test_props.exe test rio *)
+let rio_tests =
+  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick rio_model_prop ]
+
 let () =
   Alcotest.run "ft_props"
-    [ ("properties", tests); ("save-work", save_work_tests) ]
+    [ ("properties", tests); ("save-work", save_work_tests);
+      ("rio", rio_tests) ]

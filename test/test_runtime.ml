@@ -744,6 +744,94 @@ let test_checkpointer_deep_rollback () =
   Alcotest.(check bool) "too-deep rollback refused" true
     (Ft_runtime.Checkpointer.rollback ckpt ~pid:0 ~machine ~back:40 = None)
 
+(* Deep rollback under a ladder with an L1 rung, committing well past
+   the archive's capacity: each commit then refills the oldest
+   generation's heap image instead of creating one.  Every archived
+   generation must still come back exactly as it was committed, before
+   and after a rollback has shortened the archive — a recycled buffer
+   that aliased a live image, or was refilled while still archived,
+   shows up here as a wrong image. *)
+let test_archive_recycling_rollback () =
+  let scenario () =
+    let kernel = Ft_os.Kernel.create ~seed:3 ~nprocs:1 () in
+    let cfg =
+      { Ft_runtime.Engine.default_config with
+        policy = Some Ft_recovery.Policy.deep }
+    in
+    let sched =
+      Ft_runtime.Scheduler.create
+        ~tenants:[| (cfg, kernel, [| Ft_vm.Asm.compile echo_program |]) |]
+        ()
+    in
+    let ckpt = Ft_runtime.Scheduler.checkpointer sched ~tid:0 in
+    let m = Ft_runtime.Scheduler.machine sched ~tid:0 ~pid:0 in
+    let heap = Ft_vm.Machine.heap m in
+    (* our own deep copies, newest first: (out_seq, image) *)
+    let images = ref [ (0, Ft_vm.Machine.snapshot m) ] in
+    let commit g =
+      for i = 0 to 3 do
+        Ft_vm.Memory.write heap
+          (((g * 131) + (i * 1009)) mod Ft_vm.Memory.size heap)
+          ((g * 10) + i)
+      done;
+      m.Ft_vm.Machine.regs.(1) <- g;
+      m.Ft_vm.Machine.pc <- g;
+      m.Ft_vm.Machine.sp <- g mod 5;
+      for i = 0 to (g mod 5) - 1 do
+        m.Ft_vm.Machine.stack.(i) <- g + i
+      done;
+      ignore
+        (Ft_runtime.Checkpointer.commit ~out_seq:g ckpt ~pid:0 ~machine:m
+           ~kstate:(Ft_os.Kernel.snapshot_kstate kernel 0));
+      images := (g, Ft_vm.Machine.snapshot m) :: !images
+    in
+    (ckpt, m, images, commit)
+  in
+  let clobber m =
+    let heap = Ft_vm.Machine.heap m in
+    for a = 0 to Ft_vm.Memory.size heap - 1 do
+      if a mod 7 = 0 then Ft_vm.Memory.write heap a (-a)
+    done;
+    m.Ft_vm.Machine.regs.(1) <- -1
+  in
+  let check_rollback ~msg ckpt m images back =
+    clobber m;
+    let gen, image = List.nth images back in
+    match Ft_runtime.Checkpointer.rollback ckpt ~pid:0 ~machine:m ~back with
+    | None -> Alcotest.failf "%s: rollback ~back:%d refused" msg back
+    | Some (_, _, out_seq) ->
+        Alcotest.(check int) (msg ^ ": generation") gen out_seq;
+        Alcotest.(check bool) (msg ^ ": image") true
+          (Ft_vm.Machine.snapshot m = image)
+  in
+  let history =
+    let ckpt, _, _, commit = scenario () in
+    for g = 1 to 40 do commit g done;
+    Ft_runtime.Checkpointer.history_depth ckpt ~pid:0
+  in
+  Alcotest.(check bool) "the ladder keeps several generations" true
+    (history >= 3);
+  for back = 1 to history - 1 do
+    let ckpt, m, images, commit = scenario () in
+    for g = 1 to (3 * history) + 2 do commit g done;
+    let msg = Printf.sprintf "back %d" back in
+    check_rollback ~msg ckpt m !images back;
+    Alcotest.(check bool) (msg ^ ": too deep refused") true
+      (Ft_runtime.Checkpointer.rollback ckpt ~pid:0 ~machine:m
+         ~back:(history - back)
+      = None);
+    (* the reinstated generation is newest again: commit on top of it
+       until it is the oldest archived (the machine must not share its
+       archived image), then refill the archive past capacity and reach
+       back to its oldest entry once more *)
+    images := List.filteri (fun i _ -> i >= back) !images;
+    for g = 100 to 100 + history - 2 do commit g done;
+    check_rollback ~msg:(msg ^ ", on top") ckpt m !images (history - 1);
+    images := List.filteri (fun i _ -> i >= history - 1) !images;
+    for g = 200 to 200 + history do commit g done;
+    check_rollback ~msg:(msg ^ ", refilled") ckpt m !images (history - 1)
+  done
+
 (* --- multi-tenant scheduler ----------------------------------------------- *)
 
 (* A scheduler hosting several tenants must hand every tenant exactly
@@ -864,6 +952,121 @@ let test_scheduler_shared_transport () =
   Alcotest.(check int) "tenant 1 untouched by the kill" 0
     rs.(1).Ft_runtime.Engine.crashes
 
+(* --- shared-transport step order, pinned ---------------------------------- *)
+
+(* Several xpilot and TreadMarks tenants (4 processes each) on ONE lossy
+   shared transport, some of them killed: the only configuration in
+   which one tenant's step moves another tenant's position on the
+   virtual clock (a frame it pumps lands in a co-tenant's mailbox).  The
+   scheduler's pick order decides every tenant's interleaving with the
+   transport's RNG, so each tenant's outcome, simulated time,
+   instruction count, visible and crash times — and the total step
+   count — pin the pick order byte for byte. *)
+let shard_workload i =
+  if i mod 2 = 0 then
+    Ft_apps.Xpilot.workload ~params:Ft_apps.Xpilot.small_params ()
+  else Ft_apps.Treadmarks.workload ~params:Ft_apps.Treadmarks.small_params ()
+
+let outcome_label = function
+  | Ft_runtime.Engine.Completed -> "completed"
+  | Deadline -> "deadline"
+  | Recovery_failed -> "recovery-failed"
+  | Deadlocked -> "deadlocked"
+  | Instruction_budget -> "instruction-budget"
+  | Net_unreachable -> "net-unreachable"
+
+let shared_shard ~protocol ~seed ~n ~kills =
+  let ws = Array.init n shard_workload in
+  let wnprocs = 4 in
+  let kernels =
+    Array.mapi (fun i w -> Ft_apps.Workload.kernel ~seed:(seed + i) w) ws
+  in
+  let policy = Ft_net.Policy.make ~drop:0.1 ~duplicate:0.1 ~reorder:0.2 () in
+  let costs = Ft_os.Kernel.costs kernels.(0) in
+  let tr =
+    Ft_net.Transport.create
+      ~policy:(fun _ _ -> policy)
+      ~seed ~nprocs:(n * wnprocs)
+      ~latency_ns:costs.Ft_os.Kernel.network_latency_ns
+      ~jitter_ns:costs.Ft_os.Kernel.network_jitter_ns
+      ~deliver:(fun ~at ~src:_ ~dst m ->
+        Ft_os.Kernel.deliver_net kernels.(dst / wnprocs) ~at
+          ~dst:(dst mod wnprocs) m)
+      ()
+  in
+  Array.iteri (fun i k -> Ft_os.Kernel.set_net k ~base:(i * wnprocs) tr) kernels;
+  let tenants =
+    Array.mapi
+      (fun i w ->
+        let kills = try List.assoc i kills with Not_found -> [] in
+        ( Ft_apps.Workload.engine_config w
+            { Ft_runtime.Engine.default_config with protocol; kills },
+          kernels.(i),
+          w.Ft_apps.Workload.programs ))
+      ws
+  in
+  let sched = Ft_runtime.Scheduler.create ~tenants () in
+  let rs = Ft_runtime.Scheduler.run sched in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%s seed %d tenants %d steps %d\n"
+    protocol.Ft_core.Protocol.spec_name seed n
+    (Ft_runtime.Scheduler.steps sched);
+  Array.iteri
+    (fun i (r : Ft_runtime.Engine.result) ->
+      Printf.bprintf b "tenant %d %s %s sim %d instr %d\n" i
+        ws.(i).Ft_apps.Workload.name
+        (outcome_label r.outcome)
+        r.sim_time_ns r.wall_instructions;
+      Printf.bprintf b " crashes";
+      List.iter (fun (pid, at) -> Printf.bprintf b " %d@%d" pid at)
+        r.crash_times;
+      Printf.bprintf b "\n visible";
+      List.iter (fun (pid, v, at) -> Printf.bprintf b " %d:%d@%d" pid v at)
+        r.visible_times;
+      Buffer.add_char b '\n')
+    rs;
+  Buffer.contents b
+
+let shared_shards () =
+  String.concat ""
+    (List.concat_map
+       (fun protocol ->
+         [
+           shared_shard ~protocol ~seed:11 ~n:3 ~kills:[ (1, [ (12_000_000, 2) ]) ];
+           shared_shard ~protocol ~seed:23 ~n:5
+             ~kills:
+               [
+                 (0, [ (150_000_000, 1) ]);
+                 (3, [ (8_000_000, 0); (25_000_000, 3) ]);
+               ];
+           shared_shard ~protocol ~seed:37 ~n:6
+             ~kills:
+               [
+                 (1, [ (5_000_000, 1) ]);
+                 (2, [ (60_000_000, 0); (700_000_000, 2) ]);
+                 (5, [ (18_000_000, 3) ]);
+               ];
+         ])
+       Ft_core.Protocols.[ cpvs; causal_log ])
+
+(* Resolves from the dune test sandbox (cwd = test/) and from a repo-root
+   `dune exec test/test_runtime.exe` alike. *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_shared_transport_step_order_golden () =
+  Alcotest.(check string)
+    "shared-transport shards are byte-identical (pick order pinned)"
+    (read_golden "shared_transport_steps.golden")
+    (shared_shards ())
+
 let tests =
   [
     Alcotest.test_case "plain run" `Quick test_plain_run;
@@ -871,6 +1074,8 @@ let tests =
       test_scheduler_matches_private_engines;
     Alcotest.test_case "scheduler shared transport" `Quick
       test_scheduler_shared_transport;
+    Alcotest.test_case "shared-transport step-order golden" `Quick
+      test_shared_transport_step_order_golden;
     Alcotest.test_case "recoveries reset on progress" `Quick
       test_recoveries_reset_on_progress;
     Alcotest.test_case "commit crash recovers" `Quick
@@ -914,6 +1119,8 @@ let tests =
       test_zero_dirty_commit_no_page_records;
     Alcotest.test_case "checkpointer deep rollback" `Quick
       test_checkpointer_deep_rollback;
+    Alcotest.test_case "archive recycling keeps every generation" `Quick
+      test_archive_recycling_rollback;
     Alcotest.test_case "pingpong" `Quick test_pingpong;
     Alcotest.test_case "pingpong server killed" `Quick
       test_pingpong_server_killed;
