@@ -128,13 +128,11 @@ let tiny_treadmarks () =
     ()
 
 let run_workload ?(protocol = Ft_core.Protocols.cpvs)
-    ?(medium = Ft_runtime.Checkpointer.Reliable_memory)
-    ?(cost = Ft_runtime.Checkpointer.default_cost)
-    ?(page_size = 64) (w : Ft_apps.Workload.t) =
+    ?(medium = Ft_runtime.Checkpointer.Reliable_memory) ?(page_size = 64)
+    (w : Ft_apps.Workload.t) =
   let cfg =
     Ft_apps.Workload.engine_config w
-      { Ft_runtime.Engine.default_config with protocol; medium; cost;
-        page_size }
+      { Ft_runtime.Engine.default_config with protocol; medium; page_size }
   in
   let kernel = Ft_apps.Workload.kernel w in
   let _, r = Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs () in

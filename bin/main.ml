@@ -194,6 +194,15 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
   if Ft_harness.Netstorm.clean report then `Ok 0
   else fail_run "netstorm found violations"
 
+(* Resolve [--protocol] names, [default] when none are given; [Error]
+   lists the unknown names, last first. *)
+let protocols_of_names ~default = function
+  | [] -> Ok default
+  | names -> (
+      match List.filter (fun n -> Ft_core.Protocols.by_name n = None) names with
+      | [] -> Ok (List.filter_map Ft_core.Protocols.by_name names)
+      | bad -> Error (List.rev bad))
+
 (* Serve: the fleet-scale campaign — many postgres tenants per
    multi-tenant scheduler, open-loop load, Poisson kills, SLO-grade
    reporting.  Exits non-zero on any oracle violation, zero goodput, or
@@ -201,20 +210,10 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
 let run_serve procs requests proto_names crash_rate recovery_crash_rate
     det_cap storm_name shard_size interval_ns poison smoke bench_out seed
     opts =
-  let bad = ref [] in
   let protocols =
     match proto_names with
-    | [] -> [ Ft_core.Protocols.cpvs ]
-    | [ "all" ] -> Ft_core.Protocols.figure8
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
+    | [ "all" ] -> Ok Ft_core.Protocols.figure8
+    | names -> protocols_of_names ~default:[ Ft_core.Protocols.cpvs ] names
   in
   let storm =
     match storm_name with
@@ -228,10 +227,10 @@ let run_serve procs requests proto_names crash_rate recovery_crash_rate
         | Some pt -> Ok (Some pt)
         | None -> Error s)
   in
-  match (!bad, storm) with
-  | n :: _, _ -> `Error (false, "unknown protocol " ^ n)
+  match (protocols, storm) with
+  | Error bad, _ -> `Error (false, "unknown protocol " ^ List.hd bad)
   | _, Error s -> `Error (false, "unknown storm tier " ^ s ^ " (calm, breeze, gale or storm)")
-  | [], Ok storm ->
+  | Ok protocols, Ok storm ->
       let p =
         if smoke then
           {
@@ -262,7 +261,9 @@ let run_serve procs requests proto_names crash_rate recovery_crash_rate
       in
       print_string (Ft_harness.Serve.render report);
       Option.iter
-        (fun path -> Ft_harness.Serve.merge_bench ~path report)
+        (fun path ->
+          Ft_harness.Report.merge_bench ~path
+            (Ft_harness.Serve.bench_kv report))
         bench_out;
       let goodput_ok =
         List.for_all
@@ -279,30 +280,21 @@ let run_serve procs requests proto_names crash_rate recovery_crash_rate
    so CI can gate on it. *)
 let run_rescue app_names proto_names ladder_names crashes smoke bench_out
     seed opts =
-  let bad = ref [] in
   let protocols =
-    match proto_names with
-    | [] -> Ft_harness.Rescue.default_spec.Ft_harness.Rescue.protocols
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
+    protocols_of_names
+      ~default:Ft_harness.Rescue.default_spec.Ft_harness.Rescue.protocols
+      proto_names
   in
   let bad_ladder =
     List.find_opt
       (fun n -> Ft_recovery.Policy.by_name n = None)
       ladder_names
   in
-  match (!bad, bad_ladder) with
-  | n :: _, _ -> `Error (false, "unknown protocol " ^ n)
+  match (protocols, bad_ladder) with
+  | Error bad, _ -> `Error (false, "unknown protocol " ^ List.hd bad)
   | _, Some n ->
       `Error (false, "unknown ladder " ^ n ^ " (generic, deep or full)")
-  | [], None ->
+  | Ok protocols, None ->
       let spec =
         if smoke then
           { Ft_harness.Rescue.smoke_spec with Ft_harness.Rescue.seed0 = seed }
@@ -324,7 +316,9 @@ let run_rescue app_names proto_names ladder_names crashes smoke bench_out
       in
       print_string (Ft_harness.Rescue.render report);
       Option.iter
-        (fun path -> Ft_harness.Rescue.merge_bench ~path report)
+        (fun path ->
+          Ft_harness.Report.merge_bench ~path
+            (Ft_harness.Rescue.bench_kv report))
         bench_out;
       if Ft_harness.Rescue.clean report then `Ok 0
       else fail_run "rescue found consistency violations or missing cells"
@@ -340,23 +334,12 @@ let run_ablation opts =
    any surviving mutant, and on sweep jobs that died without a verdict,
    so CI can gate on it. *)
 let run_mc nprocs depth proto_names mutants no_prune engine_xcheck opts =
-  let bad = ref [] in
-  let specs =
-    match proto_names with
-    | [] -> Ft_core.Protocols.figure8_extended
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
-  in
-  if !bad <> [] then
-    `Error (false, "unknown protocol(s): " ^ String.concat ", " !bad)
-  else begin
+  match
+    protocols_of_names ~default:Ft_core.Protocols.figure8_extended proto_names
+  with
+  | Error bad ->
+      `Error (false, "unknown protocol(s): " ^ String.concat ", " bad)
+  | Ok specs ->
     let program = Ft_mc.Model.default_program ~nprocs ~depth in
     let honest_jobs =
       Ft_mc.Checker.jobs ~no_prune
@@ -492,7 +475,6 @@ let run_mc nprocs depth proto_names mutants no_prune engine_xcheck opts =
     else if !missing > 0 then
       fail_run "sweep jobs died without a verdict"
     else `Ok 0
-  end
 
 (* Run one application under one protocol and print the run's vitals. *)
 let run_single app_name proto_name medium_name seed scale kills_ms =

@@ -8,17 +8,11 @@ type t = {
   configure : Ft_os.Kernel.t -> unit;  (* input scripts, timers *)
   heap_words : int;
   stack_words : int;
-  deadline_ns : int option;
-  (* Expected dynamic instructions of a fault-free run; used to place
-     bit-flip faults uniformly in time.  Measured once by the harness
-     and cached by callers; 0 means unknown. *)
-  horizon_hint : int;
 }
 
-let make ?(stack_words = 4_096) ?(deadline_ns = None) ?(horizon_hint = 0)
-    ~name ~nprocs ~programs ~configure ~heap_words () =
-  { name; nprocs; programs; configure; heap_words; stack_words;
-    deadline_ns; horizon_hint }
+let make ?(stack_words = 4_096) ~name ~nprocs ~programs ~configure
+    ~heap_words () =
+  { name; nprocs; programs; configure; heap_words; stack_words }
 
 (* Weighted choice: [(weight, value); ...] with a seeded RNG. *)
 let weighted rng choices =
@@ -36,10 +30,9 @@ let engine_config t (base : Ft_runtime.Engine.config) =
     base with
     Ft_runtime.Engine.heap_words = t.heap_words;
     stack_words = t.stack_words;
-    deadline_ns = t.deadline_ns;
   }
 
-let kernel ?(seed = 42) ?(costs = Ft_os.Kernel.default_costs) t =
-  let k = Ft_os.Kernel.create ~costs ~seed ~nprocs:t.nprocs () in
+let kernel ?(seed = 42) t =
+  let k = Ft_os.Kernel.create ~seed ~nprocs:t.nprocs () in
   t.configure k;
   k

@@ -8,14 +8,10 @@ type t = {
   configure : Ft_os.Kernel.t -> unit;  (** input scripts, timer signals *)
   heap_words : int;
   stack_words : int;
-  deadline_ns : int option;
-  horizon_hint : int;  (** expected dynamic instructions; 0 = unknown *)
 }
 
 val make :
   ?stack_words:int ->
-  ?deadline_ns:int option ->
-  ?horizon_hint:int ->
   name:string ->
   nprocs:int ->
   programs:Ft_vm.Instr.t array array ->
@@ -28,7 +24,7 @@ val weighted : Random.State.t -> (int * 'a) list -> 'a
 (** Weighted choice from [(weight, value)] pairs. *)
 
 val engine_config : t -> Ft_runtime.Engine.config -> Ft_runtime.Engine.config
-(** Apply the workload's sizing (heap, stack, deadline) to a config. *)
+(** Apply the workload's sizing (heap, stack) to a config. *)
 
-val kernel : ?seed:int -> ?costs:Ft_os.Kernel.costs -> t -> Ft_os.Kernel.t
+val kernel : ?seed:int -> t -> Ft_os.Kernel.t
 (** A kernel sized and configured for this workload. *)

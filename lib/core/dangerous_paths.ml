@@ -89,15 +89,16 @@ let receive_class_of_trace trace (recv : Event.t) =
   match Trace.matching_send trace recv with
   | None -> Event.Fixed (* no recorded sender: nothing can change it *)
   | Some send ->
-      let before_send (e : Event.t) = e.index < send.Event.index in
+      let before_send (e : Event.t) = Event.index e < Event.index send in
       (* One streaming pass over the sender's events for both the last
          pre-send commit and a transient ND event after it. *)
       let commit_floor = ref (-1) in
       Trace.iter_of trace send.Event.pid (fun (e : Event.t) ->
-          if Event.is_commit e && before_send e then commit_floor := e.index);
+          if Event.is_commit e && before_send e then
+            commit_floor := Event.index e);
       let transient_between = ref false in
       Trace.iter_of trace send.Event.pid (fun (e : Event.t) ->
-          if Event.is_transient_nd e && e.index > !commit_floor
+          if Event.is_transient_nd e && Event.index e > !commit_floor
              && before_send e
           then transient_between := true);
       if !transient_between then Event.Transient else Event.Fixed

@@ -27,12 +27,15 @@ type kind =
 
 type t = {
   pid : pid;
-  index : int;       (* per-process sequence number, 0-based *)
   kind : kind;
   logged : bool;     (* true when the recovery system rendered this ND
                         event deterministic by logging its result *)
   vc : Vclock.t;     (* vector clock at (just after) this event *)
 }
+
+(* Recording ticks the process's own clock component once per event, so
+   that component, less one, is the event's per-process sequence number. *)
+let index e = Vclock.get e.vc e.pid - 1
 
 (* Receives are non-deterministic because message arrival order is not
    fixed; a logged event of any kind is deterministic by definition. *)
@@ -82,9 +85,9 @@ let kind_to_string = function
   | Crash -> "crash"
 
 let to_string e =
-  Printf.sprintf "p%d/%d:%s%s" e.pid e.index (kind_to_string e.kind)
+  Printf.sprintf "p%d/%d:%s%s" e.pid (index e) (kind_to_string e.kind)
     (if e.logged then "[logged]" else "")
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 
-let equal a b = a.pid = b.pid && a.index = b.index
+let equal a b = a.pid = b.pid && index a = index b

@@ -33,13 +33,17 @@ type kind =
 
 type t = {
   pid : pid;
-  index : int;  (** per-process sequence number, 0-based *)
   kind : kind;
   logged : bool;
       (** [true] when the recovery system rendered this ND event
           deterministic by logging its result *)
   vc : Vclock.t;  (** vector clock just after the event *)
 }
+
+val index : t -> int
+(** Per-process sequence number, 0-based: the event's own component of
+    its vector clock, less one ({!Trace.record} ticks it once per
+    event). *)
 
 val is_nd : t -> bool
 (** Is this event non-deterministic?  Receives are ND (message order);

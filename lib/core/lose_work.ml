@@ -33,8 +33,8 @@ let analyze trace ~(crash : Event.t) =
   (* Stream the crashed process's pre-crash history in place. *)
   let last_transient = ref None in
   Trace.iter_of trace crash.pid (fun (e : Event.t) ->
-      if e.index < crash.index && Event.is_transient_nd e then
-        last_transient := Some e.index);
+      if Event.index e < Event.index crash && Event.is_transient_nd e then
+        last_transient := Some (Event.index e));
   let bohrbug, dangerous_from =
     match !last_transient with
     | None -> (true, 0)
@@ -43,8 +43,8 @@ let analyze trace ~(crash : Event.t) =
   let commits_on_path =
     let acc = ref [] in
     Trace.iter_of trace crash.pid (fun (e : Event.t) ->
-        if e.index < crash.index && Event.is_commit e
-           && e.index >= dangerous_from
+        if Event.index e < Event.index crash && Event.is_commit e
+           && Event.index e >= dangerous_from
         then acc := e :: !acc);
     List.rev !acc
   in
@@ -63,8 +63,8 @@ let committed_after_activation trace ~(activation : Event.t)
   &&
   let found = ref false in
   Trace.iter_of trace crash.pid (fun (e : Event.t) ->
-      if Event.is_commit e && e.index > activation.index
-         && e.index < crash.index
+      if Event.is_commit e && Event.index e > Event.index activation
+         && Event.index e < Event.index crash
       then found := true);
   !found
 
@@ -83,7 +83,7 @@ let conflict trace ~(crash : Event.t) =
   let a = analyze trace ~crash in
   let visible_on_path = ref false in
   Trace.iter_of trace crash.pid (fun (e : Event.t) ->
-      if Event.is_visible e && e.index >= a.dangerous_from
-         && e.index < crash.index
+      if Event.is_visible e && Event.index e >= a.dangerous_from
+         && Event.index e < Event.index crash
       then visible_on_path := true);
   a.bohrbug || !visible_on_path

@@ -81,8 +81,9 @@ let nd_left_in_application p =
      better chance of surviving propagation failures *)
   p.visible_effort
 
-(* ASCII rendering of Figure 3. *)
-let render ?(width = 64) ?(height = 18) points =
+(* ASCII rendering of Figure 3, on a 64 x 18 grid. *)
+let render points =
+  let width = 64 and height = 18 in
   let buf = Buffer.create 2048 in
   let grid = Array.make_matrix height width ' ' in
   (* A literature point realized by an executable spec sits at exactly

@@ -41,5 +41,5 @@ val nd_left_in_application : point -> float
 (** Figure 4: distance from the horizontal axis, the non-determinism
     left uncommitted — the chance of surviving propagation failures. *)
 
-val render : ?width:int -> ?height:int -> point list -> string
-(** ASCII rendering of Figure 3. *)
+val render : point list -> string
+(** ASCII rendering of Figure 3, on a 64 x 18 grid. *)

@@ -23,7 +23,7 @@ let pp_violation fmt v =
 (* --- vector-clock projection ---------------------------------------------
 
    Every recorded clock is a snapshot, so for recorded events
-   [e1 -> e2] iff [e1 <> e2] and [e1.index < vc(e2).(e1.pid)]
+   [e1 -> e2] iff [e1 <> e2] and [Event.index e1 < vc(e2).(e1.pid)]
    (Trace.happens_before).  The events of process [p] that precede a
    target are therefore a prefix of [p]'s history, cut at the target's
    horizon [vc(target).(p)], and the theorem's check per (target, p)
@@ -69,8 +69,8 @@ let round_table n members =
       let lo = Array.make n max_int and hi = Array.make n (-1) in
       List.iter
         (fun (c : Event.t) ->
-          lo.(c.pid) <- min lo.(c.pid) c.index;
-          hi.(c.pid) <- max hi.(c.pid) c.index)
+          lo.(c.pid) <- min lo.(c.pid) (Event.index c);
+          hi.(c.pid) <- max hi.(c.pid) (Event.index c))
         ms;
       for p = 0 to n - 1 do
         if hi.(p) >= 0 then
@@ -103,7 +103,7 @@ let project trace =
         incr ord
       end
       else if Event.is_commit e then begin
-        commits.(e.pid) <- e.index :: commits.(e.pid);
+        commits.(e.pid) <- Event.index e :: commits.(e.pid);
         Option.iter
           (fun r ->
             Hashtbl.replace members r
@@ -112,7 +112,7 @@ let project trace =
       end);
   let nds = Array.map (fun l -> Array.of_list (List.rev l)) nds in
   {
-    nd_idx = Array.map (Array.map (fun ((e : Event.t), _) -> e.index)) nds;
+    nd_idx = Array.map (Array.map (fun (e, _) -> Event.index e)) nds;
     nd_ev = Array.map (Array.map fst) nds;
     nd_ord = Array.map (Array.map snd) nds;
     nd_count = !ord;
@@ -194,16 +194,16 @@ let orphans trace =
   let last_commit = Array.make nprocs (-1) in
   Trace.iter trace (fun (e : Event.t) ->
       if Event.is_crash e then crashed.(e.pid) <- true
-      else if Event.is_commit e && e.index > last_commit.(e.pid) then
-        last_commit.(e.pid) <- e.index);
+      else if Event.is_commit e && Event.index e > last_commit.(e.pid) then
+        last_commit.(e.pid) <- Event.index e);
   (* earliest lost ND index per process; max_int if none *)
   let first_lost = Array.make nprocs max_int in
   Trace.iter trace (fun (e : Event.t) ->
       if
         Event.is_nd e && crashed.(e.pid)
-        && last_commit.(e.pid) <= e.index
-        && e.index < first_lost.(e.pid)
-      then first_lost.(e.pid) <- e.index);
+        && last_commit.(e.pid) <= Event.index e
+        && Event.index e < first_lost.(e.pid)
+      then first_lost.(e.pid) <- Event.index e);
   let orphan = Array.make nprocs false in
   Trace.iter trace (fun (c : Event.t) ->
       if Event.is_commit c && not orphan.(c.pid) then

@@ -65,7 +65,6 @@ let push t (e : Event.t) =
 let record t ~pid ?(logged = false) kind =
   if pid < 0 || pid >= t.nprocs then
     invalid_arg (Printf.sprintf "Trace.record: bad pid %d" pid);
-  let index = next_index t pid in
   (match kind with
   | Event.Receive { tag; _ } -> (
       match Hashtbl.find_opt t.send_clocks tag with
@@ -77,7 +76,7 @@ let record t ~pid ?(logged = false) kind =
   (match kind with
   | Event.Send { tag; _ } -> Hashtbl.replace t.send_clocks tag vc
   | _ -> ());
-  let e = { Event.pid; index; kind; logged; vc } in
+  let e = { Event.pid; kind; logged; vc } in
   (match kind with
   | Event.Send { tag; _ } ->
       if not (Hashtbl.mem t.first_sends tag) then

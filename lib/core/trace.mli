@@ -48,7 +48,7 @@ val happens_before : Event.t -> Event.t -> bool
     {!record} ticks the recording process's own clock entry and merges
     whole snapshots of earlier events, so for any two events of one
     trace, [happens_before e1 e2] iff [not (Event.equal e1 e2)] and
-    [e1.index < Vclock.get e2.vc e1.pid]: the events of process [p]
+    [Event.index e1 < Vclock.get e2.vc e1.pid]: the events of process [p]
     that precede [e2] are the first [Vclock.get e2.vc p] of [p]'s
     history (less [e2] itself).  {!Save_work} rests its per-process
     binary searches on this. *)

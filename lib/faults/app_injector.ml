@@ -174,22 +174,7 @@ let arm engine ~pid p =
                   end
               | `Heap ->
                   let heap = Ft_vm.Machine.heap m in
-                  let size = Ft_vm.Memory.size heap in
-                  (* Bias towards live data — and half the time towards
-                     the low region, where programs keep their metadata
-                     (headers, tables, allocators): corrupting a pointer
-                     or a count is what makes heap flips dangerous. *)
-                  let region =
-                    if Random.State.bool rng then min size 4096 else size
-                  in
-                  let rec hunt tries best =
-                    if tries = 0 then best
-                    else
-                      let a = Random.State.int rng region in
-                      if Ft_vm.Memory.read heap a <> 0 then a
-                      else hunt (tries - 1) best
-                  in
-                  let a = hunt 64 (Random.State.int rng region) in
+                  let a = Ft_vm.Memory.pick_live_word heap rng in
                   Ft_vm.Memory.write heap a
                     (Ft_vm.Memory.read heap a lxor (1 lsl bit)));
               Ft_runtime.Engine.record_activation engine pid

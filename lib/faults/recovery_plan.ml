@@ -25,7 +25,10 @@ let poisson_count ~rate rng =
     go 0. 0
   end
 
-let tenant ?(max_occurrence = 4) ~rate ~seed tid =
+(* Injected crashes land within a stage's first 4 entries. *)
+let max_occurrence = 4
+
+let tenant ~rate ~seed tid =
   let rng = Random.State.make [| seed; tid; 0x7ec2 |] in
   let n = poisson_count ~rate rng in
   List.init n (fun _ ->

@@ -12,13 +12,8 @@ type stage = Ft_runtime.Scheduler.recovery_stage =
   | Mid_cascade
   | Mid_round
 
-val tenant :
-  ?max_occurrence:int ->
-  rate:float ->
-  seed:int ->
-  int ->
-  (stage * int) list
+val tenant : rate:float -> seed:int -> int -> (stage * int) list
 (** [tenant ~rate ~seed tid] — an expected [rate] nested crashes for
     this tenant (Poisson-distributed count), each at a uniform stage and
-    a uniform occurrence in [1..max_occurrence] (default 4).
+    a uniform occurrence in [1..4].
     Deterministic given [(seed, tid)]; empty when [rate <= 0]. *)

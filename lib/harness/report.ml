@@ -47,3 +47,29 @@ let fps x = Printf.sprintf "%.1f fps" x
 let section title =
   let bar = String.make (String.length title) '=' in
   Printf.sprintf "\n%s\n%s\n" title bar
+
+(* Merge [fresh] into an existing flat BENCH_RESULTS.json (or start one)
+   without disturbing anyone else's keys: the CI schema gate requires the
+   key set only ever to grow. *)
+module Jstore = Ft_exp.Jstore
+
+let merge_bench ~path fresh =
+  let existing =
+    if Sys.file_exists path then begin
+      let ic = open_in path in
+      let len = in_channel_length ic in
+      let s = really_input_string ic len in
+      close_in ic;
+      match Jstore.of_string (String.trim s) with
+      | Ok (Jstore.Obj kvs) -> kvs
+      | _ -> []
+    end
+    else [ ("schema", Jstore.String "ft-bench/1") ]
+  in
+  let kept =
+    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
+  in
+  let oc = open_out path in
+  output_string oc (Jstore.to_string (Jstore.Obj (kept @ fresh)));
+  output_char oc '\n';
+  close_out oc

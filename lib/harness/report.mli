@@ -10,3 +10,7 @@ val pct : float -> string
 val pct1 : float -> string
 val fps : float -> string
 val section : string -> string
+
+val merge_bench : path:string -> (string * Ft_exp.Jstore.value) list -> unit
+(** Merge the given keys into a flat BENCH_RESULTS.json (starting one if
+    absent), replacing those keys and preserving every other one. *)

@@ -617,25 +617,3 @@ let bench_kv r =
     ("rescue_violations", Jstore.Int (full.l_violations + generic.l_violations));
     ("rescue_work_per_minstr", Jstore.Float full.l_work_per_minstr);
   ]
-
-let merge_bench ~path r =
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Jstore.of_string (String.trim s) with
-      | Ok (Jstore.Obj kvs) -> kvs
-      | _ -> []
-    end
-    else [ ("schema", Jstore.String "ft-bench/1") ]
-  in
-  let fresh = bench_kv r in
-  let kept =
-    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
-  in
-  let oc = open_out path in
-  output_string oc (Jstore.to_string (Jstore.Obj (kept @ fresh)));
-  output_char oc '\n';
-  close_out oc

@@ -114,7 +114,3 @@ val render : report -> string
 val bench_kv : report -> (string * Ft_exp.Jstore.value) list
 (** [rescue_rescued_frac], [rescue_generic_frac], [rescue_l2_rescues],
     [rescue_violations], [rescue_work_per_minstr]. *)
-
-val merge_bench : path:string -> report -> unit
-(** Merge {!bench_kv} into a BENCH_RESULTS.json, preserving every key it
-    does not own. *)

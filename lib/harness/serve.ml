@@ -106,15 +106,6 @@ let tenant_seed ~seed tid =
   let rng = Random.State.make [| seed; tid; 0x5e7e |] in
   Random.State.bits rng
 
-(* Seeded Poisson kill process for one tenant: exponential gaps at
-   [crash_rate] per simulated second, out to a horizon generously past
-   the open-loop schedule (recovery stalls push completion right).
-   The sampling itself lives in {!Ft_faults.Kill_plan} (shared with the
-   rescue campaign); the draw order is unchanged, so schedules are
-   byte-identical to what this module always produced. *)
-let tenant_kills ~crash_rate ~horizon_ns ~seed tid =
-  Ft_faults.Kill_plan.tenant ~crash_rate ~horizon_ns ~seed tid
-
 let tenant_workload p ~seed tid =
   let pg =
     {
@@ -175,6 +166,8 @@ let tenant_config ?quarantine ?(recovery_kills = []) ?(det_cap = 0) ~protocol
    per-kernel pid ranges. *)
 let shard_scheduler p ~protocol ~crash_rate ~lo ~hi () =
   let n = hi - lo in
+  (* Kills are drawn out to a horizon generously past the open-loop
+     schedule: recovery stalls push completion right. *)
   let horizon_ns = (queries_per_tenant p * p.interval_ns * 2) + 2_000_000_000 in
   let ws = Array.init n (fun i -> tenant_workload p ~seed:p.seed (lo + i)) in
   let kernels =
@@ -212,7 +205,7 @@ let shard_scheduler p ~protocol ~crash_rate ~lo ~hi () =
         if tid < p.poison then
           poison_program ws.(i).Ft_apps.Workload.programs.(0);
         let kills =
-          tenant_kills ~crash_rate ~horizon_ns ~seed:p.seed tid
+          Ft_faults.Kill_plan.tenant ~crash_rate ~horizon_ns ~seed:p.seed tid
         in
         let recovery_kills =
           Ft_faults.Recovery_plan.tenant ~rate:p.recovery_crash_rate
@@ -722,28 +715,3 @@ let bench_kv r =
   in
   ("serve_mttr_nested_ns", Jstore.Int (if n = 0 then 0 else tot / n))
   :: per_proto
-
-(* Merge the serve keys into an existing flat BENCH_RESULTS.json (or
-   start one) without disturbing the bench harness's keys: the CI schema
-   gate requires the key set only ever to grow. *)
-let merge_bench ~path r =
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Jstore.of_string (String.trim s) with
-      | Ok (Jstore.Obj kvs) -> kvs
-      | _ -> []
-    end
-    else [ ("schema", Jstore.String "ft-bench/1") ]
-  in
-  let fresh = bench_kv r in
-  let kept =
-    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
-  in
-  let oc = open_out path in
-  output_string oc (Jstore.to_string (Jstore.Obj (kept @ fresh)));
-  output_char oc '\n';
-  close_out oc

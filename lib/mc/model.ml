@@ -653,13 +653,13 @@ let state_key st =
       List.filter_map
         (fun e ->
           if Event.is_nd e || Event.is_receive e then
-            Some (e.Event.index, Event.kind_to_string e.Event.kind,
+            Some (Event.index e, Event.kind_to_string e.Event.kind,
                   e.Event.logged, vcl e.Event.vc)
           else None)
         evs
     in
     let commits =
-      List.map (fun e -> (e.Event.index, vcl e.Event.vc)) (Trace.commits_of st.trace p)
+      List.map (fun e -> (Event.index e, vcl e.Event.vc)) (Trace.commits_of st.trace p)
     in
     let cur_vc =
       match List.rev evs with [] -> [] | e :: _ -> vcl e.Event.vc

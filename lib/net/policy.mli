@@ -1,6 +1,6 @@
 (** Per-link fault policy for the unreliable channel: loss, duplication,
-    reordering, extra delay, and (possibly asymmetric, possibly healing)
-    partitions.  Pure data — the transport draws all randomness from its
+    reordering and (possibly healing) partitions, which always cut both
+    directions.  Pure data — the transport draws all randomness from its
     own seeded stream, so a sweep point reproduces from (policy, seed). *)
 
 type partition = {
@@ -8,7 +8,6 @@ type partition = {
   part_until : int;  (** ns, exclusive; [max_int] never heals *)
   part_src : int;  (** -1 matches any source *)
   part_dst : int;  (** -1 matches any destination *)
-  part_sym : bool;  (** also cuts the reverse direction *)
 }
 
 type t = {
@@ -16,8 +15,6 @@ type t = {
   duplicate : float;  (** P(frame delivered twice) *)
   reorder : float;  (** P(frame delayed past its successors) *)
   reorder_ns : int;  (** extra delay a reordered frame suffers *)
-  delay_ns : int;  (** fixed extra one-way delay *)
-  jitter_ns : int;  (** max random extra delay *)
   partitions : partition list;
 }
 
@@ -30,8 +27,6 @@ val make :
   ?duplicate:float ->
   ?reorder:float ->
   ?reorder_ns:int ->
-  ?delay_ns:int ->
-  ?jitter_ns:int ->
   ?partitions:partition list ->
   unit ->
   t
@@ -39,12 +34,12 @@ val make :
 val partition :
   ?src:int ->
   ?dst:int ->
-  ?symmetric:bool ->
   from_ns:int ->
   until_ns:int ->
   unit ->
   partition
-(** [src]/[dst] default to -1 (any). *)
+(** [src]/[dst] default to -1 (any).  The partition cuts both the
+    [src]->[dst] and the [dst]->[src] direction. *)
 
 val partitioned : t -> src:int -> dst:int -> now:int -> bool
 (** Is the [src]->[dst] direction cut at time [now]? *)

@@ -96,8 +96,6 @@ type 'a t = {
   latency_ns : int;
   jitter_ns : int;
   rto_ns : int;
-  rto_max_ns : int;
-  backoff : float;
   max_retries : int;
   deliver : at:int -> src:int -> dst:int -> 'a -> unit;
   measure : 'a -> int;  (* payload size in bytes, for overhead stats *)
@@ -119,23 +117,15 @@ type 'a t = {
   mutable s_wire_bytes : int;
 }
 
-let create ?(policy = fun _ _ -> Policy.reliable) ?rto_ns
-    ?(rto_max_ns = 50_000_000) ?(backoff = 2.0) ?(max_retries = 16)
+let create ?(policy = fun _ _ -> Policy.reliable) ?(max_retries = 16)
     ?(measure = fun _ -> 0) ~seed ~nprocs ~latency_ns ~jitter_ns ~deliver () =
-  let rto_ns =
-    match rto_ns with
-    | Some r -> max 1 r
-    | None -> max 1_000 (4 * (latency_ns + jitter_ns))
-  in
   {
     nprocs;
     rng = Random.State.make [| seed; 0x6e_65_74 |];
     policy;
     latency_ns;
     jitter_ns;
-    rto_ns;
-    rto_max_ns = max rto_ns rto_max_ns;
-    backoff = (if backoff < 1.0 then 1.0 else backoff);
+    rto_ns = max 1_000 (4 * (latency_ns + jitter_ns));
     max_retries = max 0 max_retries;
     deliver;
     measure;
@@ -201,17 +191,21 @@ let flip t p = p > 0. && Random.State.float t.rng 1.0 < p
 let jitter_draw t j = if j <= 0 then 0 else Random.State.int t.rng j
 
 (* Exponential backoff with a cap and 25% jitter: the classic shape —
-   quick first retry, then spread out, never past [rto_max_ns]. *)
+   quick first retry, then spread out, never past [rto_max_ns] (or the
+   initial timeout, if that is larger). *)
+let backoff = 2.0
+let rto_max_ns = 50_000_000
+
 let rto_after t attempts =
   let base =
-    let scaled = float_of_int t.rto_ns *. (t.backoff ** float_of_int attempts) in
-    if scaled >= float_of_int t.rto_max_ns then t.rto_max_ns
-    else int_of_float scaled
+    let cap = max t.rto_ns rto_max_ns in
+    let scaled = float_of_int t.rto_ns *. (backoff ** float_of_int attempts) in
+    if scaled >= float_of_int cap then cap else int_of_float scaled
   in
   base + jitter_draw t (max 1 (base / 4))
 
 (* One wire attempt for frame [seq] of link [l].  The policy may cut,
-   drop, delay, reorder (an extra delay past the frame's successors) or
+   drop, reorder (an extra delay past the frame's successors) or
    duplicate it; survivors become [Data] arrival events. *)
 let transmit t ~now ~(l : _ link) ~seq payload =
   t.s_transmissions <- t.s_transmissions + 1;
@@ -221,10 +215,7 @@ let transmit t ~now ~(l : _ link) ~seq payload =
     t.s_cut <- t.s_cut + 1
   else if flip t pol.Policy.drop then t.s_dropped <- t.s_dropped + 1
   else begin
-    let delay =
-      t.latency_ns + jitter_draw t t.jitter_ns + pol.Policy.delay_ns
-      + jitter_draw t pol.Policy.jitter_ns
-    in
+    let delay = t.latency_ns + jitter_draw t t.jitter_ns in
     let delay =
       if flip t pol.Policy.reorder then
         delay + max 1 pol.Policy.reorder_ns
@@ -262,10 +253,7 @@ let send_ack t ~now ~(l : _ link) =
   if Policy.partitioned pol ~src:l.l_dst ~dst:l.l_src ~now then ()
   else if flip t pol.Policy.drop then ()
   else
-    let arrival =
-      now + t.latency_ns + jitter_draw t t.jitter_ns + pol.Policy.delay_ns
-      + jitter_draw t pol.Policy.jitter_ns
-    in
+    let arrival = now + t.latency_ns + jitter_draw t t.jitter_ns in
     schedule t ~at:arrival
       (Ack { e_src = l.l_src; e_dst = l.l_dst; upto = l.delivered })
 

@@ -35,9 +35,6 @@ type 'a t
 
 val create :
   ?policy:(int -> int -> Policy.t) ->
-  ?rto_ns:int ->
-  ?rto_max_ns:int ->
-  ?backoff:float ->
   ?max_retries:int ->
   ?measure:('a -> int) ->
   seed:int ->
@@ -48,10 +45,10 @@ val create :
   unit ->
   'a t
 (** [policy src dst] is the fault policy of the [src]->[dst] direction
-    (default: every link reliable).  [rto_ns] is the initial
-    retransmission timeout (default [4 * (latency_ns + jitter_ns)],
-    floor 1µs); successive retries back off by [backoff] (default 2.0)
-    up to [rto_max_ns] (default 50ms), with 25% jitter.  After
+    (default: every link reliable).  The initial retransmission timeout
+    is the constant [4 * (latency_ns + jitter_ns)], floor 1µs;
+    successive retries double it up to 50ms (or the initial timeout, if
+    larger), with 25% jitter.  After
     [max_retries] (default 16) attempts a frame is abandoned and its
     link latched failed.  [measure] sizes a payload in bytes for the
     [payload_bytes]/[wire_bytes] stats (default: everything is 0 bytes),

@@ -116,7 +116,6 @@ type os_fault = {
 
 type t = {
   nprocs : int;
-  costs : costs;
   seed : int;  (* base seed, kept so {!perturb} can derive fresh streams *)
   mutable rng : Random.State.t;
   inputs : (int * int) array array;        (* per pid: (ready_ns, token) *)
@@ -182,11 +181,10 @@ type t = {
   mutable det_forced_flushes : int;  (* cap hits that forced a commit *)
 }
 
-let create ?(costs = default_costs) ?(seed = 42) ?(fs_capacity = 1 lsl 20)
-    ?(max_open_files = 16) ~nprocs () =
+let create ?(seed = 42) ?(fs_capacity = 1 lsl 20) ?(max_open_files = 16)
+    ~nprocs () =
   {
     nprocs;
-    costs;
     seed;
     rng = Random.State.make [| seed |];
     inputs = Array.make nprocs [||];
@@ -227,7 +225,7 @@ let create ?(costs = default_costs) ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     det_forced_flushes = 0;
   }
 
-let costs t = t.costs
+let costs _ = default_costs
 let nprocs t = t.nprocs
 
 (* --- the unreliable transport ------------------------------------------- *)
@@ -242,18 +240,14 @@ let net t = t.net
    reliable path.  Frames complete delivery during {!Ft_net.Transport.pump}
    (driven by the engine), landing in the destination mailbox with
    [msg_deliver_at] set to the arrival time. *)
-let attach_net ?(policy = Ft_net.Policy.reliable) ?link_policy ?rto_ns
-    ?rto_max_ns ?backoff ?max_retries ~seed t =
+let attach_net ?(policy = Ft_net.Policy.reliable) ?max_retries ~seed t =
   let deliver ~at ~src:_ ~dst (m : message) =
     Queue.add { m with msg_deliver_at = at } t.mailboxes.(dst)
   in
-  let policy =
-    match link_policy with Some f -> f | None -> fun _ _ -> policy
-  in
   let tr =
-    Ft_net.Transport.create ~policy ?rto_ns ?rto_max_ns ?backoff ?max_retries
-      ~seed ~nprocs:t.nprocs ~latency_ns:t.costs.network_latency_ns
-      ~jitter_ns:t.costs.network_jitter_ns ~deliver ()
+    Ft_net.Transport.create ~policy:(fun _ _ -> policy) ?max_retries ~seed
+      ~nprocs:t.nprocs ~latency_ns:default_costs.network_latency_ns
+      ~jitter_ns:default_costs.network_jitter_ns ~deliver ()
   in
   t.net <- Some tr;
   tr
@@ -602,7 +596,7 @@ let service t ~pid ~now ~a0 ~a1 s =
   let k = t.kstates.(pid) in
   Hashtbl.replace t.syscall_tally s
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.syscall_tally s));
-  let base = t.costs.syscall_ns in
+  let base = default_costs.syscall_ns in
   let done_ ?r0 ?r1 ?(cost = base) ?new_time ev =
     let served = { r0; r1; cost_ns = cost; new_time; ev; poke = None } in
     let served = apply_os_fault t ~now s served in
@@ -656,10 +650,7 @@ let service t ~pid ~now ~a0 ~a1 s =
       let msg_inc = t.incarnations.(pid) in
       match t.net with
       | None ->
-          let jitter =
-            if t.costs.network_jitter_ns = 0 then 0
-            else Random.State.int t.rng t.costs.network_jitter_ns
-          in
+          let jitter = Random.State.int t.rng default_costs.network_jitter_ns in
           let m =
             {
               msg_src = pid;
@@ -667,7 +658,7 @@ let service t ~pid ~now ~a0 ~a1 s =
               msg_payload = a1;
               msg_seq = seq;
               msg_tag = tag ~src:pid ~seq;
-              msg_deliver_at = now + t.costs.network_latency_ns + jitter;
+              msg_deliver_at = now + default_costs.network_latency_ns + jitter;
               msg_dv;
               msg_inc;
             }

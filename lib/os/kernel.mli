@@ -75,7 +75,6 @@ type t
 type kstate_snapshot
 
 val create :
-  ?costs:costs ->
   ?seed:int ->
   ?fs_capacity:int ->
   ?max_open_files:int ->
@@ -84,6 +83,8 @@ val create :
   t
 
 val costs : t -> costs
+(** Always {!default_costs}. *)
+
 val nprocs : t -> int
 
 val set_input : t -> int -> (int * int) array -> unit
@@ -231,10 +232,6 @@ val perturb : t -> salt:int -> unit
 
 val attach_net :
   ?policy:Ft_net.Policy.t ->
-  ?link_policy:(int -> int -> Ft_net.Policy.t) ->
-  ?rto_ns:int ->
-  ?rto_max_ns:int ->
-  ?backoff:float ->
   ?max_retries:int ->
   seed:int ->
   t ->
@@ -243,10 +240,9 @@ val attach_net :
     travel a seeded, policy-driven unreliable channel (loss, duplication,
     reordering, delay, partitions) with retransmission, acks and
     in-order reassembly underneath the kernel's own [msg_seq] duplicate
-    filter.  [policy] applies to every link; [link_policy src dst]
-    overrides per direction.  Frames land in mailboxes when the engine
-    pumps the transport.  Without this call the kernel's reliable path
-    is untouched, byte for byte. *)
+    filter.  [policy] applies to every link.  Frames land in mailboxes
+    when the engine pumps the transport.  Without this call the kernel's
+    reliable path is untouched, byte for byte. *)
 
 val net : t -> message Ft_net.Transport.t option
 (** The attached transport, if any — the engine pumps it and consults

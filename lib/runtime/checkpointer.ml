@@ -24,19 +24,11 @@ type medium =
   | Reliable_memory            (* Rio: memory-speed commits *)
   | Disk of Ft_stablemem.Disk.t  (* DC-disk: synchronous redo log *)
 
-type cost_model = {
-  base_ns : int;        (* fixed per checkpoint: register copy, log reset *)
-  page_trap_ns : int;   (* COW page-protection trap, per dirty page *)
-  word_copy_ns : int;   (* memory copy, per word *)
-  kstate_words : int;   (* accounted size of saved kernel state *)
-}
-
-let default_cost = {
-  base_ns = 25_000;
-  page_trap_ns = 4_000;
-  word_copy_ns = 2;
-  kstate_words = 64;
-}
+(* The cost model. *)
+let base_ns = 25_000      (* fixed per checkpoint: register copy, log reset *)
+let page_trap_ns = 4_000  (* COW page-protection trap, per dirty page *)
+let word_copy_ns = 2      (* memory copy, per word *)
+let kstate_words = 64     (* accounted size of saved kernel state *)
 
 (* Per-process persistent area.  Region layout (all offsets fixed at
    creation):
@@ -84,7 +76,6 @@ type slot = {
 
 type t = {
   medium : medium;
-  cost : cost_model;
   slots : slot array;
   history : int;
       (* committed generations kept for {!rollback}; 0 = off (default),
@@ -109,7 +100,7 @@ let log_area_words ~heap_words ~stack_words ~page_size ~kstate_cap =
   + Ft_stablemem.Vista.record_words ~len:(1 + kstate_cap)
   + Ft_stablemem.Vista.record_words ~len:1  (* commits-counter record *)
 
-let create ?(cost = default_cost) ?(excluded = fun _ -> false)
+let create ?(excluded = fun _ -> false)
     ?(page_size = 64) ?(history = 0) ~medium ~nprocs ~heap_words
     ~stack_words () =
   if page_size <= 0 then invalid_arg "Checkpointer.create: bad page_size";
@@ -140,7 +131,7 @@ let create ?(cost = default_cost) ?(excluded = fun _ -> false)
       archive = [];
     }
   in
-  { medium; cost; slots = Array.init nprocs make_slot; history; excluded }
+  { medium; slots = Array.init nprocs make_slot; history; excluded }
 
 let vista t ~pid = t.slots.(pid).vista
 
@@ -227,18 +218,14 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
     s.archive <- g :: kept
   end;
   let words =
-    (List.length dirty * page_size) + sp + meta_words + t.cost.kstate_words
+    (List.length dirty * page_size) + sp + meta_words + kstate_words
   in
+  let traps = base_ns + (List.length dirty * page_trap_ns) in
   match t.medium with
-  | Reliable_memory ->
-      t.cost.base_ns
-      + (List.length dirty * t.cost.page_trap_ns)
-      + (words * t.cost.word_copy_ns)
+  | Reliable_memory -> traps + (words * word_copy_ns)
   | Disk d ->
       (* COW traps still happen; the synchronous log write dominates. *)
-      t.cost.base_ns
-      + (List.length dirty * t.cost.page_trap_ns)
-      + Ft_stablemem.Disk.commit_cost d ~words
+      traps + Ft_stablemem.Disk.commit_cost d ~words
 
 (* Pessimistic logging of an ND event's result: the record must be stable
    before the event's effects can propagate, so on DC-disk each log write
@@ -246,7 +233,7 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
    double-digit overheads on DC-disk in Figure 8). *)
 let log_cost t ~words =
   match t.medium with
-  | Reliable_memory -> 1_000 + (words * t.cost.word_copy_ns)
+  | Reliable_memory -> 1_000 + (words * word_copy_ns)
   | Disk d -> Ft_stablemem.Disk.write_cost d ~words
 
 (* The machine image committed as metadata words [meta] (see [commit]),
@@ -289,10 +276,10 @@ let restore t ~pid ~(machine : Ft_vm.Machine.t) =
     Ft_os.Kernel.kstate_of_words
       (Ft_stablemem.Rio.sub region ~off:(s.kstate_base + 1) ~len:klen)
   in
-  let words = s.heap_words + sp + meta_words + t.cost.kstate_words in
+  let words = s.heap_words + sp + meta_words + kstate_words in
   let cost =
     match t.medium with
-    | Reliable_memory -> t.cost.base_ns + (words * t.cost.word_copy_ns)
+    | Reliable_memory -> base_ns + (words * word_copy_ns)
     | Disk d -> Ft_stablemem.Disk.write_cost d ~words
   in
   (kstate, cost)
@@ -366,16 +353,16 @@ let rollback t ~pid ~(machine : Ft_vm.Machine.t) ~back =
       let kstate = Ft_os.Kernel.kstate_of_words g.g_kwords in
       (* Charged cost: one full restore plus one worst-case commit —
          rung L1 is deliberately expensive. *)
-      let words = s.heap_words + sp + meta_words + t.cost.kstate_words in
+      let words = s.heap_words + sp + meta_words + kstate_words in
       let cost =
         match t.medium with
         | Reliable_memory ->
-            (2 * t.cost.base_ns)
-            + (npages * t.cost.page_trap_ns)
-            + (2 * words * t.cost.word_copy_ns)
+            (2 * base_ns)
+            + (npages * page_trap_ns)
+            + (2 * words * word_copy_ns)
         | Disk d ->
-            t.cost.base_ns
-            + (npages * t.cost.page_trap_ns)
+            base_ns
+            + (npages * page_trap_ns)
             + (2 * Ft_stablemem.Disk.write_cost d ~words)
       in
       Some (kstate, cost, g.g_out_seq)

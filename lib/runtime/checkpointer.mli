@@ -13,19 +13,9 @@ type medium =
   | Reliable_memory  (** Rio: memory-speed commits *)
   | Disk of Ft_stablemem.Disk.t  (** DC-disk: synchronous redo log *)
 
-type cost_model = {
-  base_ns : int;  (** fixed per checkpoint: register copy, log reset *)
-  page_trap_ns : int;  (** COW page-protection trap, per dirty page *)
-  word_copy_ns : int;
-  kstate_words : int;  (** accounted size of saved kernel state *)
-}
-
-val default_cost : cost_model
-
 type t
 
 val create :
-  ?cost:cost_model ->
   ?excluded:(int -> bool) ->
   ?page_size:int ->
   ?history:int ->

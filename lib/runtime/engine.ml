@@ -12,20 +12,13 @@
 type config = Scheduler.config = {
   protocol : Ft_core.Protocol.spec;
   medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;
   deadline_ns : int option;
   max_instructions : int;
-  auto_recover : bool;
   suppress_faults_on_recovery : bool;
   max_recovery_attempts : int;
-  reboot_delay_ns : int;
-  recovery_retry_delay_ns : int;
   kills : (int * int) list;
   kill_at_decision : (int * int) list;
   pick_override : (int list -> int option) option;
-  twopc_timeout_ns : int;
-  twopc_max_retries : int;
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -63,7 +56,6 @@ type result = Scheduler.result = {
   activation : (int * int) option;
   first_crash : (int * int) option;
   commit_after_activation : bool;
-  memory_pokes : int;
   aborted_rounds : int;
   orphan_rollbacks : int;
   visible_times : (int * int * int) list;

@@ -12,19 +12,12 @@
 type config = Scheduler.config = {
   protocol : Ft_core.Protocol.spec;
   medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;  (** max instructions per scheduling slice *)
   deadline_ns : int option;  (** stop the run at this simulated time *)
   max_instructions : int;  (** safety net against runaway executions *)
-  auto_recover : bool;
   suppress_faults_on_recovery : bool;
       (** the paper's end-to-end check (§4.1): restore pristine code and
           silence the injector when recovering *)
   max_recovery_attempts : int;
-  reboot_delay_ns : int;  (** after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (** pacing between attempts when recovery itself crashes: a
-          process restart, not a machine reboot *)
   kills : (int * int) list;  (** (time_ns, pid) stop failures to inject *)
   kill_at_decision : (int * int) list;
       (** (decision_index, pid) stop failures, applied just before the
@@ -34,15 +27,6 @@ type config = Scheduler.config = {
       (** schedule replay hook: given the runnable pids (ascending),
           choose who runs next; [None] (the value or the result) falls
           back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (** commit-round prepare/commit timeout, for 2PC and dependent
-          commit alike: with an unreliable transport attached, an
-          unreachable participant makes the coordinator presume abort
-          and retry the round after the timeout (doubling per retry) *)
-  twopc_max_retries : int;
-      (** aborted-round retries (2PC or dependent commit) before the
-          coordinator gives up and the run degrades to
-          [Net_unreachable] *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -66,6 +50,9 @@ type config = Scheduler.config = {
 }
 
 val default_config : config
+(** Slice length, kernel-panic reboot time, restore-retry pacing and the
+    commit-round timeout and retry budget are not configurable: they are
+    constants of {!Scheduler}. *)
 
 type outcome = Scheduler.outcome =
   | Completed  (** every process halted *)
@@ -98,7 +85,6 @@ type result = Scheduler.result = {
   commit_after_activation : bool;
       (** a commit landed between fault activation and the first crash:
           the Table-1 Lose-work violation criterion *)
-  memory_pokes : int;  (** kernel-fault memory corruptions applied *)
   aborted_rounds : int;
       (** 2PC (and dependent-commit) rounds presumed aborted on a
           prepare/commit timeout *)

@@ -59,8 +59,6 @@ type proc = {
   mutable nd_count : int;
   mutable logged_count : int;
   mutable visible_count : int;
-  mutable first_visible_at : int;
-  mutable last_visible_at : int;
 }
 
 (* The stateful stages of the recovery path itself, as injection sites
@@ -73,17 +71,10 @@ type recovery_stage = Mid_restore | Mid_cascade | Mid_round
 type config = {
   protocol : Ft_core.Protocol.spec;
   medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;                  (* max instructions per scheduling slice *)
   deadline_ns : int option;     (* stop the run at this simulated time *)
   max_instructions : int;       (* safety net against runaways *)
-  auto_recover : bool;
   suppress_faults_on_recovery : bool;
   max_recovery_attempts : int;
-  reboot_delay_ns : int;        (* after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (* pacing between attempts when recovery itself crashes: a
-         process restart, not a machine reboot *)
   kills : (int * int) list;     (* (time_ns, pid) stop failures to inject *)
   kill_at_decision : (int * int) list;
       (* (decision_index, pid) stop failures: applied just before the
@@ -92,13 +83,6 @@ type config = {
   pick_override : (int list -> int option) option;
       (* given the runnable pids (ascending), choose who runs next;
          [None] falls back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (* commit-round (2PC or dependent) prepare/commit timeout: an
-         unreachable participant makes the coordinator presume abort and
-         retry the round later *)
-  twopc_max_retries : int;
-      (* aborted-round retries (doubling backoff) before the coordinator
-         gives up and the run degrades to Net_unreachable *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -127,20 +111,13 @@ let default_config =
   {
     protocol = Ft_core.Protocols.cpvs;
     medium = Checkpointer.Reliable_memory;
-    cost = Checkpointer.default_cost;
-    batch = 256;
     deadline_ns = None;
     max_instructions = 2_000_000_000;
-    auto_recover = true;
     suppress_faults_on_recovery = false;
     max_recovery_attempts = 3;
-    reboot_delay_ns = 30_000_000_000;
-    recovery_retry_delay_ns = 10_000_000;
     kills = [];
     kill_at_decision = [];
     pick_override = None;
-    twopc_timeout_ns = 2_000_000;
-    twopc_max_retries = 8;
     heap_words = 65_536;
     stack_words = 4_096;
     page_size = 64;
@@ -151,6 +128,12 @@ let default_config =
     recovery_kills = [];
     det_cap = 0;
   }
+
+let batch = 256                           (* max instructions per slice *)
+let reboot_delay_ns = 30_000_000_000      (* after a kernel panic *)
+let recovery_retry_delay_ns = 10_000_000  (* times the restore attempt *)
+let twopc_timeout_ns = 2_000_000          (* doubling per aborted round *)
+let twopc_max_retries = 8
 
 type outcome =
   | Completed            (* every process halted *)
@@ -177,7 +160,6 @@ type result = {
   activation : (int * int) option;     (* pid, trace index at activation *)
   first_crash : (int * int) option;    (* pid, trace index of crash event *)
   commit_after_activation : bool;
-  memory_pokes : int;                  (* kernel-fault memory corruptions *)
   aborted_rounds : int;                (* 2PC rounds presumed aborted on a
                                           prepare/commit timeout *)
   orphan_rollbacks : int;              (* logging styles: survivors rolled
@@ -242,7 +224,6 @@ type tenant = {
   breaker : Ft_recovery.Quarantine.t option;
   mutable quarantine_trips : int;
   mutable outcome : outcome option;
-  mutable memory_pokes : int;
   mutable ack_tag : int;  (* synthetic (negative) tags for 2PC acks *)
   mutable round : int;    (* coordinated-commit round counter *)
   mutable aborted_rounds : int;
@@ -324,8 +305,6 @@ let make_tenant tid (cfg, kernel, programs) =
           nd_count = 0;
           logged_count = 0;
           visible_count = 0;
-          first_visible_at = -1;
-          last_visible_at = -1;
         })
       programs
   in
@@ -337,7 +316,7 @@ let make_tenant tid (cfg, kernel, programs) =
     if l1_attempts > 0 then (l1_depth * l1_attempts) + 1 else 0
   in
   let ckpt =
-    Checkpointer.create ~cost:cfg.cost ~excluded:cfg.excluded_pages
+    Checkpointer.create ~excluded:cfg.excluded_pages
       ~page_size:cfg.page_size ~history ~medium:cfg.medium ~nprocs
       ~heap_words:cfg.heap_words ~stack_words:cfg.stack_words ()
   in
@@ -370,7 +349,6 @@ let make_tenant tid (cfg, kernel, programs) =
       breaker = Option.map Ft_recovery.Quarantine.create cfg.quarantine;
       quarantine_trips = 0;
       outcome = None;
-      memory_pokes = 0;
       ack_tag = -1;
       round = 0;
       aborted_rounds = 0;
@@ -437,7 +415,7 @@ let record_crash tn (p : proc) =
   tn.crash_rev <- (p.pid, p.time) :: tn.crash_rev;
   let e = Ft_core.Trace.record tn.trace ~pid:p.pid Ft_core.Event.Crash in
   if tn.first_crash = None then
-    tn.first_crash <- Some (p.pid, e.Ft_core.Event.index)
+    tn.first_crash <- Some (p.pid, Ft_core.Event.index e)
 
 let give_up tn (p : proc) =
   p.failed <- true;
@@ -479,7 +457,7 @@ let breaker_note_crash tn (p : proc) =
 let note_recovery_crash tn (p : proc) ~injected ~attempt =
   tn.recovery_crashes <- tn.recovery_crashes + 1;
   if injected then tn.nested_crashes <- tn.nested_crashes + 1;
-  p.time <- p.time + (attempt * tn.cfg.recovery_retry_delay_ns);
+  p.time <- p.time + (attempt * recovery_retry_delay_ns);
   match breaker_note_crash tn p with
   | `Latched -> `Abandon
   | `Park_until until_ns ->
@@ -675,6 +653,11 @@ and recover_and_cascade tn (p : proc) =
 
 and crash_proc tn (p : proc) =
   record_crash tn p;
+  after_crash tn p
+
+(* What a recorded crash sets off: the crash bar, the classifier, the
+   crash-loop breaker and recovery with its orphan cascade. *)
+and after_crash tn (p : proc) =
   p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
   (* Classification is pure observation: it never feeds back into the
      simulation. *)
@@ -683,24 +666,19 @@ and crash_proc tn (p : proc) =
   match breaker_note_crash tn p with
   | `Latched -> give_up tn p
   | `Park_until until_ns ->
-      if tn.cfg.auto_recover then begin
-        (* The breaker took over pacing: restart the ladder so the
-           half-open probe gets a fresh budget, recover, then park the
-           whole tenant until the probe deadline — it stops burning
-           scheduler steps and co-tenants' tail latency survives. *)
-        p.recoveries <- 0;
-        recover_and_cascade tn p;
-        if not p.failed then
-          Array.iter
-            (fun q ->
-              if (not q.halted) && not q.failed then
-                q.time <- max q.time until_ns)
-            tn.procs
-      end
-      else p.failed <- true
-  | `Ok ->
-      if tn.cfg.auto_recover then recover_and_cascade tn p
-      else p.failed <- true
+      (* The breaker took over pacing: restart the ladder so the
+         half-open probe gets a fresh budget, recover, then park the
+         whole tenant until the probe deadline — it stops burning
+         scheduler steps and co-tenants' tail latency survives. *)
+      p.recoveries <- 0;
+      recover_and_cascade tn p;
+      if not p.failed then
+        Array.iter
+          (fun q ->
+            if (not q.halted) && not q.failed then
+              q.time <- max q.time until_ns)
+          tn.procs
+  | `Ok -> recover_and_cascade tn p
 
 (* A stop failure: the machine dies where it stands and goes through the
    ordinary crash path. *)
@@ -898,7 +876,7 @@ let commit_round tn (coordinator : proc) participants =
       (* presumed abort: no participant prepared, so nothing to undo —
          the round simply never happened *)
       tn.aborted_rounds <- tn.aborted_rounds + 1;
-      if retries >= tn.cfg.twopc_max_retries then begin
+      if retries >= twopc_max_retries then begin
         (* the partition outlived the retry budget: end the run honestly
            instead of wedging or outputting without the commit *)
         coordinator.failed <- true;
@@ -907,7 +885,7 @@ let commit_round tn (coordinator : proc) participants =
       end
       else begin
         coordinator.time <-
-          coordinator.time + (tn.cfg.twopc_timeout_ns * (1 lsl retries));
+          coordinator.time + (twopc_timeout_ns * (1 lsl retries));
         attempt (retries + 1)
       end
     end
@@ -983,13 +961,13 @@ let do_commit tn (p : proc) = function
 
 (* A kernel panic stops the whole (shared) machine — all of {e this
    tenant's} processes; co-tenants run their own kernels and survive.
-   Every process sees a stop failure and is recovered after the reboot.
-   The reboot clears the injected kernel fault. *)
+   Every process takes the ordinary crash path, recorded when it died
+   and recovered once the machine has rebooted.  The reboot clears the
+   injected kernel fault. *)
 let kernel_panic tn =
   Ft_os.Kernel.clear_os_fault tn.kernel;
   let reboot_done =
-    Array.fold_left (fun acc p -> max acc p.time) 0 tn.procs
-    + tn.cfg.reboot_delay_ns
+    Array.fold_left (fun acc p -> max acc p.time) 0 tn.procs + reboot_delay_ns
   in
   Array.iter
     (fun p ->
@@ -997,7 +975,7 @@ let kernel_panic tn =
         Ft_vm.Machine.kill p.machine;
         record_crash tn p;
         p.time <- reboot_done;
-        if tn.cfg.auto_recover then recover tn p else p.failed <- true
+        after_crash tn p
       end)
     tn.procs
 
@@ -1136,23 +1114,11 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
           (match served.Ft_os.Kernel.poke with
           | Some seed ->
               let heap = Ft_vm.Machine.heap m in
-              let size = Ft_vm.Memory.size heap in
               let rng = Random.State.make [| seed |] in
-              let region =
-                if Random.State.bool rng then min size 4096 else size
-              in
-              let rec hunt tries best =
-                if tries = 0 then best
-                else
-                  let a = Random.State.int rng region in
-                  if Ft_vm.Memory.read heap a <> 0 then a
-                  else hunt (tries - 1) best
-              in
-              let a = hunt 64 (Random.State.int rng region) in
+              let a = Ft_vm.Memory.pick_live_word heap rng in
               let bit = Random.State.int rng 24 in
               Ft_vm.Memory.write heap a
-                (Ft_vm.Memory.read heap a lxor (1 lsl bit));
-              tn.memory_pokes <- tn.memory_pokes + 1
+                (Ft_vm.Memory.read heap a lxor (1 lsl bit))
           | None -> ());
           (* Logged user input must be stable before its effects propagate
              (a synchronous write on DC-disk); logged receives live in the
@@ -1199,9 +1165,6 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                   p.out_seq <- p.out_seq + 1;
                   if release then begin
                     p.visible_count <- p.visible_count + 1;
-                    if p.first_visible_at < 0 then
-                      p.first_visible_at <- p.time;
-                    p.last_visible_at <- p.time;
                     tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev;
                     p.emitted_rev <- v :: p.emitted_rev;
                     p.emitted_n <- p.emitted_n + 1
@@ -1281,7 +1244,7 @@ let past_deadline tn (p : proc) =
 let slice tn (p : proc) =
   maybe_deliver_signal tn p;
   let m = p.machine in
-  let executed = Ft_vm.Machine.step_n m tn.cfg.batch in
+  let executed = Ft_vm.Machine.step_n m batch in
   tn.instructions <- tn.instructions + executed;
   p.time <- p.time + (executed * instr_ns tn);
   match Ft_vm.Machine.status m with
@@ -1325,7 +1288,6 @@ let result_of tn outcome =
     activation = tn.activation;
     first_crash = tn.first_crash;
     commit_after_activation = tn.commit_after_activation;
-    memory_pokes = tn.memory_pokes;
     aborted_rounds = tn.aborted_rounds;
     orphan_rollbacks = tn.orphan_rollbacks;
     visible_times;

@@ -36,19 +36,12 @@ type recovery_stage =
 type config = {
   protocol : Ft_core.Protocol.spec;
   medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;  (** max instructions per scheduling slice *)
   deadline_ns : int option;  (** stop the run at this simulated time *)
   max_instructions : int;  (** safety net against runaway executions *)
-  auto_recover : bool;
   suppress_faults_on_recovery : bool;
       (** the paper's end-to-end check (§4.1): restore pristine code and
           silence the injector when recovering *)
   max_recovery_attempts : int;
-  reboot_delay_ns : int;  (** after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (** pacing between attempts when recovery itself crashes: a
-          process restart, not a machine reboot *)
   kills : (int * int) list;  (** (time_ns, pid) stop failures to inject *)
   kill_at_decision : (int * int) list;
       (** (decision_index, pid) stop failures, applied just before the
@@ -58,15 +51,6 @@ type config = {
       (** schedule replay hook: given the runnable pids (ascending),
           choose who runs next; [None] (the value or the result) falls
           back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (** commit-round prepare/commit timeout, for 2PC and dependent
-          commit alike: with an unreliable transport attached, an
-          unreachable participant makes the coordinator presume abort
-          and retry the round after the timeout (doubling per retry) *)
-  twopc_max_retries : int;
-      (** aborted-round retries (2PC or dependent commit) before the
-          coordinator gives up and the run degrades to
-          [Net_unreachable] *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -102,6 +86,31 @@ type config = {
 
 val default_config : config
 
+(** {2 Constants}
+
+    Fixed for every run: nothing varies them. *)
+
+val batch : int
+(** Max instructions per scheduling slice: 256. *)
+
+val reboot_delay_ns : int
+(** Simulated reboot time after a kernel panic: 30 s. *)
+
+val recovery_retry_delay_ns : int
+(** Pacing between restore attempts when recovery itself crashes, times
+    the attempt number: a process restart (10 ms), not a machine
+    reboot. *)
+
+val twopc_timeout_ns : int
+(** Commit-round prepare/commit timeout, for 2PC and dependent commit
+    alike: 2 ms.  With an unreliable transport attached, an unreachable
+    participant makes the coordinator presume abort and retry the round
+    after the timeout, doubling per retry. *)
+
+val twopc_max_retries : int
+(** Aborted-round retries (2PC or dependent commit) before the
+    coordinator gives up and the run degrades to [Net_unreachable]: 8. *)
+
 type outcome =
   | Completed  (** every process halted *)
   | Deadline
@@ -133,7 +142,6 @@ type result = {
   commit_after_activation : bool;
       (** a commit landed between fault activation and the first crash:
           the Table-1 Lose-work violation criterion *)
-  memory_pokes : int;  (** kernel-fault memory corruptions applied *)
   aborted_rounds : int;
       (** 2PC (and dependent-commit) rounds presumed aborted on a
           prepare/commit timeout *)

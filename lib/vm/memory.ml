@@ -56,6 +56,22 @@ let write t addr v =
    offered: fault injectors flip bits through [write] so the corruption
    is captured by checkpoints exactly as a real stray store would be. *)
 
+(* Half the time only the low 4,096 words, where programs keep their
+   metadata (headers, tables, allocators), are eligible: corrupting a
+   pointer or a count is what makes a flipped bit dangerous.  The
+   fallback is drawn before the 64 probes for a live word. *)
+let pick_live_word t rng =
+  let size = size t in
+  let region = if Random.State.bool rng then min size 4096 else size in
+  let fallback = Random.State.int rng region in
+  let rec hunt tries =
+    if tries = 0 then fallback
+    else
+      let a = Random.State.int rng region in
+      if read t a <> 0 then a else hunt (tries - 1)
+  in
+  hunt 64
+
 let dirty_pages t =
   let acc = ref [] in
   for p = Array.length t.dirty - 1 downto 0 do

@@ -18,6 +18,11 @@ val read : t -> int -> int
 val write : t -> int -> int -> unit
 (** Marks the containing page dirty.  Raises {!Out_of_bounds}. *)
 
+val pick_live_word : t -> Random.State.t -> int
+(** A word address for a fault injector to corrupt, drawn from the
+    given stream: biased half the time to the low 4,096 words, and to a
+    nonzero word when 64 probes find one. *)
+
 val dirty_pages : t -> int list
 (** Pages written since the last {!clear_dirty}, ascending. *)
 

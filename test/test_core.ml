@@ -134,7 +134,7 @@ let test_save_work_known_answer_100k () =
   (match vs with
   | v :: _ ->
       Alcotest.(check (pair int int)) "first: N0 before V1" (0, 1)
-        (v.Save_work.nd.Event.index, v.Save_work.target.Event.index)
+        (Event.index v.Save_work.nd, Event.index v.Save_work.target)
   | [] -> ());
   Alcotest.(check (list int)) "no orphans" [] (Save_work.orphans t)
 
@@ -328,7 +328,7 @@ let test_lose_work_figure9 () =
   let a = Lose_work.analyze t ~crash in
   Alcotest.(check bool) "not a Bohrbug" false a.Lose_work.bohrbug;
   Alcotest.(check int) "dangerous from just after the ND"
-    (nd.Event.index + 1) a.Lose_work.dangerous_from;
+    (Event.index nd + 1) a.Lose_work.dangerous_from;
   Alcotest.(check bool) "violated" true a.Lose_work.violated;
   Alcotest.(check bool) "table-1 criterion" true
     (Lose_work.committed_after_activation t ~activation:act ~crash);

@@ -14,11 +14,11 @@ let latency = 120_000
 let jitter = 60_000
 
 (* A transport delivering into a per-destination list, newest last. *)
-let make_transport ?policy ?max_retries ?rto_max_ns ~nprocs ~seed () =
+let make_transport ?policy ?max_retries ~nprocs ~seed () =
   let log = Array.make nprocs [] in
   let deliver ~at:_ ~src:_ ~dst v = log.(dst) <- v :: log.(dst) in
   let t =
-    Transport.create ?policy ?max_retries ?rto_max_ns ~seed ~nprocs
+    Transport.create ?policy ?max_retries ~seed ~nprocs
       ~latency_ns:latency ~jitter_ns:jitter ~deliver ()
   in
   (t, fun dst -> List.rev log.(dst))
@@ -368,7 +368,7 @@ let test_2pc_permanent_partition_gives_up () =
     (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Net_unreachable);
   Alcotest.(check bool) "rounds were aborted before giving up" true
     (r.Ft_runtime.Engine.aborted_rounds
-    > Ft_runtime.Engine.default_config.Ft_runtime.Engine.twopc_max_retries)
+    > Ft_runtime.Scheduler.twopc_max_retries)
 
 (* --- the duplicate-filter audit (satellite regression) ------------------- *)
 

@@ -625,7 +625,7 @@ let pairwise_violations trace =
   let covered (nd : Event.t) target =
     List.exists
       (fun (c : Event.t) ->
-        c.pid = nd.pid && c.index > nd.index && reaches c target)
+        c.pid = nd.pid && Event.index c > Event.index nd && reaches c target)
       commits
   in
   let against ~others_only targets =
@@ -660,7 +660,7 @@ let pairwise_orphans trace =
              (fun (c : Event.t) ->
                c.pid <> nd.pid
                || (not (Event.is_commit c))
-               || c.index < nd.index)
+               || Event.index c < Event.index nd)
              events)
       events
   in
@@ -686,7 +686,7 @@ let horizon_rule_holds trace =
         (fun (e2 : Event.t) ->
           Trace.happens_before e1 e2
           = ((not (Event.equal e1 e2))
-            && e1.index < Vclock.get e2.vc e1.pid))
+            && Event.index e1 < Vclock.get e2.vc e1.pid))
         events)
     events
 

@@ -374,7 +374,10 @@ let test_kernel_panic_recovers_all () =
   (* the reboot pause is charged to simulated time *)
   Alcotest.(check bool) "reboot delay charged" true
     (r.Ft_runtime.Engine.sim_time_ns
-    > Ft_runtime.Engine.default_config.Ft_runtime.Engine.reboot_delay_ns)
+    > Ft_runtime.Scheduler.reboot_delay_ns);
+  (* a panic takes the ordinary crash path: one crash, then progress *)
+  Alcotest.(check bool) "panic classified transient" true
+    (r.Ft_runtime.Engine.fault_classes.(0) = Ft_recovery.Classifier.Transient)
 
 let test_recovery_cap_gives_up () =
   (* a program that deterministically crashes right after committing:
@@ -412,10 +415,6 @@ let test_recoveries_reset_on_progress () =
   let cfg =
     { Ft_runtime.Engine.default_config with
       max_recovery_attempts = 2;
-      (* a short reboot, so each kill lands during live execution with
-         committed progress in between rather than piling up while the
-         clock sits inside the first 30 s reboot *)
-      reboot_delay_ns = 1_000;
       (* spaced wider than one replay cycle (1 ms think-time per input),
          so a fresh commit lands between consecutive kills *)
       kills = [ (2_100_000, 0); (4_600_000, 0); (7_100_000, 0) ] }
