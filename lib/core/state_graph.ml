@@ -18,11 +18,10 @@ type t = {
   nstates : int;
   edges : edge array;
   crash_states : bool array;  (* states "filled black" in Figure 6 *)
-  initial : int;
   out : int list array;       (* out-edge ids per state *)
 }
 
-let make ~nstates ~edges ~crash_states ?(initial = 0) () =
+let make ~nstates ~edges ~crash_states () =
   if nstates <= 0 then invalid_arg "State_graph.make: nstates";
   let arr =
     Array.of_list
@@ -43,7 +42,7 @@ let make ~nstates ~edges ~crash_states ?(initial = 0) () =
   let out = Array.make nstates [] in
   Array.iter (fun e -> out.(e.src) <- e.id :: out.(e.src)) arr;
   Array.iteri (fun i l -> out.(i) <- List.rev l) out;
-  { nstates; edges = arr; crash_states = crash; initial; out }
+  { nstates; edges = arr; crash_states = crash; out }
 
 let nedges t = Array.length t.edges
 let edge t id = t.edges.(id)

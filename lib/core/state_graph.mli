@@ -16,7 +16,6 @@ type t = private {
   nstates : int;
   edges : edge array;
   crash_states : bool array;  (** the states "filled black" in Figure 6 *)
-  initial : int;
   out : int list array;
 }
 
@@ -24,7 +23,6 @@ val make :
   nstates:int ->
   edges:(int * int * edge_kind) list ->
   crash_states:int list ->
-  ?initial:int ->
   unit ->
   t
 (** Build a graph; raises [Invalid_argument] on out-of-range endpoints. *)

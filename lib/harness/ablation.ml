@@ -253,7 +253,9 @@ type page_row = { page_size : int; sim_time_ns : int }
 
 let page_size_key ~size = Printf.sprintf "ablation/page_size/words=%d" size
 
-let page_size_jobs ?(sizes = [ 16; 64; 256 ]) () =
+let page_sizes = [ 16; 64; 256 ]
+
+let page_size_jobs () =
   List.map
     (fun size ->
       Ft_exp.Job.make ~key:(page_size_key ~size) ~seed:0 (fun () ->
@@ -276,20 +278,20 @@ let page_size_jobs ?(sizes = [ 16; 64; 256 ]) () =
           in
           Ft_exp.Jstore.Obj
             [ ("sim_ns", Ft_exp.Jstore.Int r.Ft_runtime.Engine.sim_time_ns) ]))
-    sizes
+    page_sizes
 
-let page_size_of_records ?(sizes = [ 16; 64; 256 ]) lookup =
+let page_size_of_records lookup =
   List.map
     (fun size ->
       match lookup (page_size_key ~size) with
       | Some v ->
           { page_size = size; sim_time_ns = Ft_exp.Jstore.get_int "sim_ns" v }
       | None -> { page_size = size; sim_time_ns = 0 })
-    sizes
+    page_sizes
 
-let page_size ?(sizes = [ 16; 64; 256 ]) () =
-  page_size_of_records ~sizes
-    (Ft_exp.Exp.eval_lookup ~workers:1 (page_size_jobs ~sizes ()))
+let page_size () =
+  page_size_of_records
+    (Ft_exp.Exp.eval_lookup ~workers:1 (page_size_jobs ()))
 
 let render_page_size rows =
   Report.section "Ablation: COW page size (checkpoint payload vs traps)"

@@ -31,7 +31,7 @@ val render_exclusion : exclusion_row list -> string
 
 type page_row = { page_size : int; sim_time_ns : int }
 
-val page_size : ?sizes:int list -> unit -> page_row list
+val page_size : unit -> page_row list
 val render_page_size : page_row list -> string
 
 val disk_model : unit -> (string * int) list

@@ -483,8 +483,11 @@ let defect_to_string = function
   | Model.Resume_from_scratch -> "resume-from-scratch"
   | Model.Gc_live_determinant -> "gc-live-determinant"
 
-let jobs ?(no_prune = false) ?(lose_work = true) ?(shard_depth = 2) ~specs
-    ~program () =
+(* Depth of the forced-first-choices prefix that splits one protocol's
+   search into jobs. *)
+let shard_depth = 2
+
+let jobs ?(no_prune = false) ?(lose_work = true) ~specs ~program () =
   let nprocs = Array.length program in
   let digest = String.sub (Model.program_digest program) 0 12 in
   let job_of ~spec ~defect ~tag ~root ~stop_depth =

@@ -74,13 +74,13 @@ val shards : nprocs:int -> shard_depth:int -> int list list
 val jobs :
   ?no_prune:bool ->
   ?lose_work:bool ->
-  ?shard_depth:int ->
   specs:(Ft_core.Protocol.spec * Model.defect) list ->
   program:Model.program ->
   unit ->
   Ft_exp.Job.t list
-(** One job per (protocol, shard) plus one shallow job per protocol
-    covering the prefixes above the shard boundary.  Job keys encode the
+(** One job per (protocol, shard), a shard being one forced-first-choices
+    string of length 2, plus one shallow job per protocol covering the
+    prefixes above the shard boundary.  Job keys encode the
     program digest and bound, so a warm {!Ft_exp.Exp} store resumes an
     interrupted sweep without re-exploring completed shards. *)
 

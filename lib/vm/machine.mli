@@ -64,8 +64,13 @@ val step : t -> unit
 val step_n : t -> int -> int
 (** [step_n t budget] executes up to [budget] instructions, stopping
     early at the first status change; returns the number executed.
-    Equivalent to calling {!step} in a loop, minus the per-instruction
-    call overhead. *)
+    Equivalent to calling {!step} in a loop, state for state.
+
+    With no [on_execute] hook it runs a fast loop: the in-range case of
+    Const, Mov, Bin (but Div and Mod), Cmp, Load, Store, Push, Pop,
+    Sload, Sstore, Jmp, Jz and Jnz runs inline, and everything else
+    (every crash condition, every other opcode) goes through {!step}.
+    A hooked machine (a fault injector's) runs {!step} in a loop. *)
 
 val is_running : t -> bool
 (** [status t = Running], without the polymorphic compare. *)

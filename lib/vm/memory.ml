@@ -37,20 +37,25 @@ let size t = Array.length t.data
 let page_size t = t.page_size
 let npages t = Array.length t.dirty
 
-(* The explicit range check subsumes the bounds check the safe array
-   operations would repeat, so the accesses below are unsafe_. *)
-let read t addr =
-  if addr < 0 || addr >= Array.length t.data then raise (Out_of_bounds addr);
-  Array.unsafe_get t.data addr
+(* For a caller that has already checked [0 <= addr < size t]: the
+   interpreter's fast loop, and [read]/[write] below. *)
+let[@inline] unsafe_read t addr = Array.unsafe_get t.data addr
 
-let write t addr v =
-  if addr < 0 || addr >= Array.length t.data then raise (Out_of_bounds addr);
+let[@inline] unsafe_write t addr v =
   let page = addr lsr t.page_shift in
   if not (Array.unsafe_get t.dirty page) then begin
     Array.unsafe_set t.dirty page true;
     t.dirty_count <- t.dirty_count + 1
   end;
   Array.unsafe_set t.data addr v
+
+let read t addr =
+  if addr < 0 || addr >= Array.length t.data then raise (Out_of_bounds addr);
+  unsafe_read t addr
+
+let write t addr v =
+  if addr < 0 || addr >= Array.length t.data then raise (Out_of_bounds addr);
+  unsafe_write t addr v
 
 (* Raw poke that bypasses bounds/accounting policy decisions is not
    offered: fault injectors flip bits through [write] so the corruption

@@ -18,6 +18,12 @@ val read : t -> int -> int
 val write : t -> int -> int -> unit
 (** Marks the containing page dirty.  Raises {!Out_of_bounds}. *)
 
+val unsafe_read : t -> int -> int
+val unsafe_write : t -> int -> int -> unit
+(** {!read} and {!write} without the range check, for a caller that has
+    already checked [0 <= addr < size t]; [unsafe_write] still marks the
+    page dirty. *)
+
 val pick_live_word : t -> Random.State.t -> int
 (** A word address for a fault injector to corrupt, drawn from the
     given stream: biased half the time to the low 4,096 words, and to a

@@ -917,6 +917,142 @@ let rio_model_prop =
     (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
     rio_agrees
 
+(* --- the interpreter's fast loop against step ---------------------------- *)
+
+module Machine = Ft_vm.Machine
+module Instr = Ft_vm.Instr
+module Memory = Ft_vm.Memory
+
+(* A small machine drawn from [seed]: random code over all 22 opcodes
+   (register numbers, stack offsets and jump targets sometimes out of
+   range, targets up to [Array.length code] itself), immediates that are
+   often zero divisors or heap addresses just inside or outside the
+   heap, random registers, stack, stack and frame pointers, heap words,
+   dirty pages and pc.  Each call builds the same machine afresh. *)
+let random_machine seed =
+  let rng = Random.State.make [| seed; 0x76_6d |] in
+  let int n = Random.State.int rng n in
+  (* half the machines draw an out-of-range operand rarely, so they run
+     longer before they crash *)
+  let rare () = int (if seed land 1 = 0 then 6 else 60) = 0 in
+  let ncode = 1 + int 40 and stack_size = 2 + int 14 in
+  let page_size = 1 lsl (1 + int 3) in
+  let heap_size = page_size * (1 + int 5) in
+  let reg () =
+    if not (rare ()) then int Instr.num_regs
+    else if int 2 = 0 then -1 - int 3
+    else Instr.num_regs + int 3
+  in
+  let target () =
+    if not (rare ()) then int (ncode + 1)
+    else if int 2 = 0 then -1 - int 2
+    else ncode + 1 + int 2
+  in
+  let off () =
+    if not (rare ()) then int stack_size - (stack_size / 2)
+    else int (stack_size + 6) - 3
+  in
+  let imm () =
+    match int 4 with
+    | 0 -> 0
+    | 1 -> int 2000 - 1000
+    | _ -> int (heap_size + 4) - 2
+  in
+  let cmp () = [| Instr.Lt; Le; Gt; Ge; Eq; Ne |].(int 6) in
+  let binop () =
+    [| Instr.Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr |].(int 10)
+  in
+  let instr () =
+    match int 22 with
+    | 0 -> Instr.Nop
+    | 1 -> if int 4 = 0 then Instr.Halt else Instr.Nop
+    | 2 -> Instr.Const (reg (), imm ())
+    | 3 -> Instr.Mov (reg (), reg ())
+    | 4 -> Instr.Bin (binop (), reg (), reg (), reg ())
+    | 5 -> Instr.Cmp (cmp (), reg (), reg (), reg ())
+    | 6 -> Instr.Load (reg (), reg ())
+    | 7 -> Instr.Store (reg (), reg ())
+    | 8 -> Instr.Push (reg ())
+    | 9 -> Instr.Pop (reg ())
+    | 10 -> Instr.Sload (reg (), off ())
+    | 11 -> Instr.Sstore (off (), reg ())
+    | 12 -> Instr.Jmp (target ())
+    | 13 -> Instr.Jz (reg (), target ())
+    | 14 -> Instr.Jnz (reg (), target ())
+    | 15 -> Instr.Call (target ())
+    | 16 -> Instr.Ret
+    | 17 -> Instr.Enter (int (stack_size + 2))
+    | 18 -> Instr.Leave
+    | 19 ->
+        let calls = Ft_vm.Syscall.all in
+        Instr.Sys (List.nth calls (int (List.length calls)))
+    | 20 -> Instr.Check (reg ())
+    | _ -> Instr.Sigret
+  in
+  let code = Array.init ncode (fun _ -> instr ()) in
+  let m = Machine.create ~stack_size ~heap_size ~page_size code in
+  Array.iteri (fun r _ -> m.Machine.regs.(r) <- imm ()) m.Machine.regs;
+  Array.iteri (fun i _ -> m.Machine.stack.(i) <- imm ()) m.Machine.stack;
+  m.Machine.sp <- int (stack_size + 1);
+  m.Machine.fp <- int (stack_size + 1);
+  let heap = Machine.heap m in
+  for a = 0 to heap_size - 1 do Memory.write heap a (imm ()) done;
+  Memory.clear_dirty heap;
+  for _ = 1 to int 3 do Memory.write heap (int heap_size) (imm ()) done;
+  m.Machine.pc <- (if rare () then target () else int ncode);
+  m.Machine.in_signal <- int 2 = 0;
+  m
+
+let same_machine (a : Machine.t) (b : Machine.t) =
+  a.status = b.status && a.pc = b.pc && a.icount = b.icount
+  && a.sp = b.sp && a.fp = b.fp && a.regs = b.regs && a.stack = b.stack
+  && a.in_signal = b.in_signal
+  && Memory.words a.heap = Memory.words b.heap
+  && Memory.dirty_pages a.heap = Memory.dirty_pages b.heap
+  && Memory.dirty_count a.heap = Memory.dirty_count b.heap
+
+(* Run the same machine three ways for a dozen slices of random budget:
+   [step_n] unhooked (the fast loop), [step_n] with a no-op hook, and
+   {!Machine.step} in a loop, the reference.  After every slice the
+   three must agree on the count executed and on the whole state, crash
+   reason included; a pending syscall is resumed on all three. *)
+let fast_loop_agrees seed =
+  let fast = random_machine seed
+  and hooked = random_machine seed
+  and reference = random_machine seed in
+  hooked.Machine.on_execute <- Some ignore;
+  let rng = Random.State.make [| seed; 0x73_74 |] in
+  let ok = ref true and slices = ref 0 in
+  while !ok && !slices < 12 do
+    incr slices;
+    let budget = Random.State.int rng 40 - 2 in
+    let n_fast = Machine.step_n fast budget in
+    let n_hooked = Machine.step_n hooked budget in
+    let start = reference.Machine.icount in
+    while reference.Machine.icount - start < budget
+          && Machine.is_running reference do
+      Machine.step reference
+    done;
+    let n_ref = reference.Machine.icount - start in
+    ok :=
+      n_fast = n_ref && n_hooked = n_ref
+      && same_machine fast reference
+      && same_machine hooked reference;
+    match Machine.status reference with
+    | Machine.Need_syscall _ ->
+        List.iter Machine.resume [ fast; hooked; reference ]
+    | Machine.Halted | Machine.Crashed _ -> slices := 12
+    | Machine.Running -> ()
+  done;
+  !ok
+
+(* Runs [long_factor] times longer under QCHECK_LONG (the CI soak). *)
+let fast_loop_prop =
+  QCheck.Test.make ~name:"step_n's fast loop equals step"
+    ~count:5000 ~long_factor:100
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+    fast_loop_agrees
+
 (* --- conformance harness regressions ------------------------------------- *)
 
 (* A Receive with nothing pending must be skipped outright: no event
@@ -990,7 +1126,11 @@ let save_work_tests =
 let rio_tests =
   [ QCheck_alcotest.to_alcotest ~speed_level:`Quick rio_model_prop ]
 
+(* likewise: test_props.exe test vm *)
+let vm_tests =
+  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick fast_loop_prop ]
+
 let () =
   Alcotest.run "ft_props"
     [ ("properties", tests); ("save-work", save_work_tests);
-      ("rio", rio_tests) ]
+      ("rio", rio_tests); ("vm", vm_tests) ]
