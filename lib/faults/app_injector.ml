@@ -107,10 +107,6 @@ let plan rng (ft : Fault_type.t) ~code ~horizon =
           in
           Some (Code_mutation { at; replacement }))
 
-(* Arm a planned fault on process [pid] of a created (but not yet run)
-   engine.  Uses the machine's [on_execute] hook for activation detection
-   and flip scheduling; the engine's fault-suppression path clears the
-   hook and restores pristine code on recovery. *)
 let eval_cmp op a b =
   let r =
     match op with
@@ -123,13 +119,18 @@ let eval_cmp op a b =
   in
   if r then 1 else 0
 
+(* Arm a planned fault on process [pid] of a created (but not yet run)
+   engine, replacing any breakpoint armed before.  A code mutation is a
+   pc breakpoint on the mutated instruction, cleared once the fault
+   activates; a bit flip is a countdown.  The engine's fault-suppression
+   path clears both and restores pristine code on recovery. *)
 let arm engine ~pid p =
   let m = Ft_runtime.Engine.machine engine pid in
+  Ft_vm.Machine.clear_breakpoints m;
   match p with
   | Code_mutation { at; replacement } ->
       let original = m.Ft_vm.Machine.code.(at) in
       m.Ft_vm.Machine.code.(at) <- replacement;
-      let fired = ref false in
       (* Activation is the first execution whose outcome differs from the
          pristine instruction's: an off-by-one comparison activates only
          on inputs where the operators disagree, a deleted branch only
@@ -147,38 +148,34 @@ let arm engine ~pid p =
             m.Ft_vm.Machine.regs.(r) <> 0
         | _ -> true
       in
-      m.Ft_vm.Machine.on_execute <-
-        Some
-          (fun pc ->
-            if pc = at && (not !fired) && differs () then begin
-              fired := true;
-              Ft_runtime.Engine.record_activation engine pid
-            end)
+      m.Ft_vm.Machine.break_pc <- at;
+      m.Ft_vm.Machine.on_break <-
+        (fun m ->
+          if m.Ft_vm.Machine.pc = at && differs () then begin
+            m.Ft_vm.Machine.break_pc <- -1;
+            Ft_runtime.Engine.record_activation engine pid
+          end)
   | Bit_flip { at_icount; target; bit; loc_seed } ->
-      let count = ref 0 in
-      m.Ft_vm.Machine.on_execute <-
-        Some
-          (fun _pc ->
-            incr count;
-            if !count = at_icount then begin
-              let rng = Random.State.make [| loc_seed |] in
-              (match target with
-              | `Stack ->
-                  let live = Ft_vm.Machine.live_stack_size m in
-                  if live > 0 then begin
-                    let i = Random.State.int rng live in
-                    match Ft_vm.Machine.stack_slot m i with
-                    | Some v ->
-                        Ft_vm.Machine.set_stack_slot m i (v lxor (1 lsl bit))
-                    | None -> ()
-                  end
-              | `Heap ->
-                  let heap = Ft_vm.Machine.heap m in
-                  let a = Ft_vm.Memory.pick_live_word heap rng in
-                  Ft_vm.Memory.write heap a
-                    (Ft_vm.Memory.read heap a lxor (1 lsl bit)));
-              Ft_runtime.Engine.record_activation engine pid
-            end)
+      m.Ft_vm.Machine.countdown <- max 0 at_icount;
+      m.Ft_vm.Machine.on_break <-
+        (fun m ->
+          let rng = Random.State.make [| loc_seed |] in
+          (match target with
+          | `Stack ->
+              let live = Ft_vm.Machine.live_stack_size m in
+              if live > 0 then begin
+                let i = Random.State.int rng live in
+                match Ft_vm.Machine.stack_slot m i with
+                | Some v ->
+                    Ft_vm.Machine.set_stack_slot m i (v lxor (1 lsl bit))
+                | None -> ()
+              end
+          | `Heap ->
+              let heap = Ft_vm.Machine.heap m in
+              let a = Ft_vm.Memory.pick_live_word heap rng in
+              Ft_vm.Memory.write heap a
+                (Ft_vm.Memory.read heap a lxor (1 lsl bit)));
+          Ft_runtime.Engine.record_activation engine pid)
 
 (* Arm a fault that RECURS on replay.  Code mutations already recur for
    free — the mutation lives in the code array, which recovery does not
@@ -235,6 +232,7 @@ let arm_recurring engine ~pid ~seed ft ~code ~horizon =
                        })
                 (* else: the redrawn instant is already behind this
                    replay — the perturbed environment dodged the fault
-                   for good.  Leave the old hook; it has fired. *)
+                   for good.  Leave the old countdown as it stands: spent,
+                   when the flip caused the crash being replayed. *)
             | Some (Code_mutation _) | None -> ());
       Some p

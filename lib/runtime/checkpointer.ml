@@ -42,6 +42,10 @@ let kstate_words = 64     (* accounted size of saved kernel state *)
    Everything mutable about a slot is region words — the OCaml record is
    pure layout, so a slot rebuilt over an old region (simulating a
    process that lost its heap in a crash) restores identically. *)
+(* The heap pages in which a generation may differ from the one before
+   it: a commit's dirty pages, or every page after a restore. *)
+type changed = All_pages | Pages of int list
+
 (* One archived committed generation, for deep rollback, in the same
    word form the region uses: the metadata words, the live stack, the
    heap image and the serialized kernel state, so the archive shares no
@@ -52,6 +56,7 @@ type gen = {
   g_meta : int array;
   g_stack : int array;
   g_heap : Ft_stablemem.Rio.t;
+  g_changed : changed;
   g_kwords : int array;
   g_out_seq : int;
       (* visible outputs released as of this generation: restored with it
@@ -72,6 +77,9 @@ type slot = {
   meta_buf : int array;
   kstate_buf : int array;
   mutable archive : gen list;  (* newest first, length <= history *)
+  mutable reset : bool;
+      (* the heap was reloaded since the newest generation was archived,
+         so its dirty pages no longer say how it differs from it *)
 }
 
 type t = {
@@ -129,6 +137,7 @@ let create ?(excluded = fun _ -> false)
       meta_buf = Array.make meta_words 0;
       kstate_buf = Array.make (1 + kstate_cap) 0;
       archive = [];
+      reset = false;
     }
   in
   { medium; slots = Array.init nprocs make_slot; history; excluded }
@@ -138,6 +147,34 @@ let vista t ~pid = t.slots.(pid).vista
 let checkpoints t ~pid = Ft_stablemem.Vista.commits t.slots.(pid).vista
 
 let has_checkpoint t ~pid = checkpoints t ~pid > 0
+
+(* Copy into [image] each heap page named in the [Pages] sets [since],
+   once. *)
+let refill_pages image heap since =
+  let page_size = Ft_vm.Memory.page_size heap in
+  let words = Ft_vm.Memory.words heap in
+  let marked = Bytes.make (Ft_vm.Memory.npages heap) '\000' in
+  List.iter
+    (function
+      | All_pages -> ()
+      | Pages ps -> List.iter (fun p -> Bytes.set marked p '\001') ps)
+    since;
+  Bytes.iteri
+    (fun p m ->
+      if m <> '\000' then
+        Ft_stablemem.Rio.blit_sub_in image ~off:(p * page_size) words
+          ~spos:(p * page_size) ~len:page_size)
+    marked
+
+(* Load words [0, len) of [rio] into [machine]'s heap in place (through
+   a copy only if the heap's size is not [len]), and return the heap's
+   words for {!committed_image}. *)
+let load_heap (machine : Ft_vm.Machine.t) rio ~len =
+  let heap = Ft_vm.Machine.heap machine in
+  if Ft_vm.Memory.size heap = len then
+    Ft_stablemem.Rio.blit_out rio ~off:0 (Ft_vm.Memory.words heap)
+  else Ft_vm.Memory.restore heap (Ft_stablemem.Rio.sub rio ~off:0 ~len);
+  Ft_vm.Memory.words heap
 
 (* Take a checkpoint of [machine] (incremental in its dirty pages) and the
    kernel state; returns the simulated cost in nanoseconds.
@@ -154,9 +191,8 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
   let s = t.slots.(pid) in
   let heap = Ft_vm.Machine.heap machine in
   let page_size = Ft_vm.Memory.page_size heap in
-  let dirty =
-    List.filter (fun p -> not (t.excluded p)) (Ft_vm.Memory.dirty_pages heap)
-  in
+  let dirtied = Ft_vm.Memory.dirty_pages heap in
+  let dirty = List.filter (fun p -> not (t.excluded p)) dirtied in
   let v = s.vista in
   Ft_stablemem.Vista.begin_tx v;
   (* Heap: only pages dirtied since the last checkpoint, staged through
@@ -199,23 +235,33 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
     (* A full archive drops its oldest generation to make room: refill
        that generation's heap image rather than create a fresh one.
        Nothing else holds it — rollback copies out of archived images,
-       never aliases them. *)
-    let kept, image =
+       never aliases them.  The image differs from the heap only in the
+       pages changed by the generations after it and by this commit, so
+       only those are copied, unless one of them is unknown. *)
+    let changed = if s.reset then All_pages else Pages dirtied in
+    let kept, image, since =
       match List.rev s.archive with
       | oldest :: newer
         when List.length s.archive >= t.history
              && Ft_stablemem.Rio.size oldest.g_heap = Ft_vm.Memory.size heap ->
-          (List.rev newer, oldest.g_heap)
+          let kept = List.rev newer in
+          (kept, oldest.g_heap, changed :: List.map (fun g -> g.g_changed) kept)
       | _ ->
-          (s.archive, Ft_stablemem.Rio.create ~size:(Ft_vm.Memory.size heap))
+          ( s.archive,
+            Ft_stablemem.Rio.create ~size:(Ft_vm.Memory.size heap),
+            [ All_pages ] )
     in
-    Ft_stablemem.Rio.blit_in image ~off:0 (Ft_vm.Memory.words heap);
+    if List.mem All_pages since then
+      Ft_stablemem.Rio.blit_in image ~off:0 (Ft_vm.Memory.words heap)
+    else refill_pages image heap since;
     let g =
       { g_meta = Array.copy s.meta_buf;
         g_stack = Array.sub machine.Ft_vm.Machine.stack 0 sp;
-        g_heap = image; g_kwords = kw; g_out_seq = out_seq }
+        g_heap = image; g_changed = changed; g_kwords = kw;
+        g_out_seq = out_seq }
     in
-    s.archive <- g :: kept
+    s.archive <- g :: kept;
+    s.reset <- false
   end;
   let words =
     (List.length dirty * page_size) + sp + meta_words + kstate_words
@@ -237,7 +283,9 @@ let log_cost t ~words =
   | Disk d -> Ft_stablemem.Disk.write_cost d ~words
 
 (* The machine image committed as metadata words [meta] (see [commit]),
-   live stack [stack] and heap words [heap]. *)
+   live stack [stack] and heap words [heap] (the machine's own, already
+   loaded by [load_heap]: {!Ft_vm.Memory.restore} then only clears the
+   dirty bits). *)
 let committed_image ~meta ~stack ~heap =
   let nregs = Ft_vm.Instr.num_regs in
   {
@@ -260,11 +308,12 @@ let restore t ~pid ~(machine : Ft_vm.Machine.t) =
   let s = t.slots.(pid) in
   if not (has_checkpoint t ~pid) then
     invalid_arg "Checkpointer.restore: no checkpoint";
+  s.reset <- true;
   (* A crash mid-commit leaves a published undo log; Vista recovery rolls
      it back to the previous checkpoint. *)
   Ft_stablemem.Vista.recover s.vista;
   let region = Ft_stablemem.Vista.region s.vista in
-  let heap = Ft_stablemem.Rio.sub region ~off:0 ~len:s.heap_words in
+  let heap = load_heap machine region ~len:s.heap_words in
   let meta = Ft_stablemem.Rio.sub region ~off:s.meta_base ~len:meta_words in
   let sp = meta.(Ft_vm.Instr.num_regs + 1) in
   let stack = Ft_stablemem.Rio.sub region ~off:s.stack_base ~len:sp in
@@ -286,6 +335,10 @@ let restore t ~pid ~(machine : Ft_vm.Machine.t) =
 
 let history_depth t ~pid = List.length t.slots.(pid).archive
 
+let archived_heap t ~pid i =
+  let g = List.nth t.slots.(pid).archive i in
+  Ft_stablemem.Rio.sub g.g_heap ~off:0 ~len:(Ft_stablemem.Rio.size g.g_heap)
+
 (* Deep rollback (escalation rung L1): deliberately abandon the last
    [back] committed generations and reinstate an earlier one.  The
    archived machine image is restored and then re-committed IN FULL into
@@ -302,14 +355,15 @@ let rollback t ~pid ~(machine : Ft_vm.Machine.t) ~back =
   match List.nth_opt s.archive back with
   | None -> None
   | Some g ->
+      s.reset <- true;
       (* A crash may have interrupted a commit: roll its partial
          transaction back first, as restore does. *)
       Ft_stablemem.Vista.recover s.vista;
+      let words =
+        load_heap machine g.g_heap ~len:(Ft_stablemem.Rio.size g.g_heap)
+      in
       Ft_vm.Machine.restore machine
-        (committed_image ~meta:g.g_meta ~stack:g.g_stack
-           ~heap:
-             (Ft_stablemem.Rio.sub g.g_heap ~off:0
-                ~len:(Ft_stablemem.Rio.size g.g_heap)));
+        (committed_image ~meta:g.g_meta ~stack:g.g_stack ~heap:words);
       let heap = Ft_vm.Machine.heap machine in
       let page_size = Ft_vm.Memory.page_size heap in
       let npages = (s.heap_words + page_size - 1) / page_size in
@@ -350,6 +404,9 @@ let rollback t ~pid ~(machine : Ft_vm.Machine.t) ~back =
         match l with [] -> [] | _ :: rest -> drop (n - 1) rest
       in
       s.archive <- drop back s.archive;
+      (* The heap now equals [g], the newest generation, with its dirty
+         bits clear: the next commit's dirty pages are exact again. *)
+      s.reset <- false;
       let kstate = Ft_os.Kernel.kstate_of_words g.g_kwords in
       (* Charged cost: one full restore plus one worst-case commit —
          rung L1 is deliberately expensive. *)

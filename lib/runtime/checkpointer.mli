@@ -32,7 +32,8 @@ val create :
     leaves the commit hot path allocation-free.  Archived heap images
     are sparse ({!Ft_stablemem.Rio} regions); once the archive is full,
     each commit refills the heap image of the generation it drops
-    instead of creating a new one. *)
+    instead of creating a new one, copying only the pages dirtied since
+    that generation (every page, if the heap was restored in between). *)
 
 val checkpoints : t -> pid:int -> int
 (** Checkpoints taken, read from the persisted commits counter. *)
@@ -73,6 +74,10 @@ val restore :
 val history_depth : t -> pid:int -> int
 (** Archived generations currently available to {!rollback} (0 unless
     [create] was given [~history]). *)
+
+val archived_heap : t -> pid:int -> int -> int array
+(** [archived_heap t ~pid i] copies out the heap image of the [i]th
+    newest archived generation ([0] is the newest). *)
 
 val rollback :
   t -> pid:int -> machine:Ft_vm.Machine.t -> back:int ->

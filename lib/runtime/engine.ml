@@ -4,8 +4,8 @@
     sequence of machine, kernel, checkpointer and RNG operations the
     monolithic engine did; the golden tests pin that.
 
-    Fault injectors ({!Ft_faults}) plug in through the [on_execute]
-    machine hook, the activation/crash bookkeeping, and the
+    Fault injectors ({!Ft_faults}) plug in through the machine's
+    breakpoints, the activation/crash bookkeeping, and the
     [on_recover] callback (used to suppress a fault during recovery,
     mirroring the paper's end-to-end check in §4.1). *)
 

@@ -470,11 +470,11 @@ let note_recovery_crash tn (p : proc) ~injected ~attempt =
 let pre_replay tn (p : proc) =
   if tn.cfg.suppress_faults_on_recovery then begin
     (* The paper's end-to-end check suppresses the fault activation
-       during recovery (§4.1): restore pristine code and tell the
-       injector to stand down. *)
+       during recovery (§4.1): restore pristine code, clear the
+       injector's breakpoints and tell it to stand down. *)
     Array.blit p.pristine_code 0 p.machine.Ft_vm.Machine.code 0
       (Array.length p.pristine_code);
-    p.machine.Ft_vm.Machine.on_execute <- None;
+    Ft_vm.Machine.clear_breakpoints p.machine;
     match tn.on_recover with Some f -> f p.pid | None -> ()
   end;
   if tn.cfg.expand_resources_on_recovery then
@@ -1002,11 +1002,17 @@ let classify_pre ~(sys : Ft_vm.Syscall.t) ~a0 : Ft_core.Protocol.event_info opti
       None
   | Read_file | Close_file | Sigaction | Sleep | Yield -> None
 
+(* The two ND kinds, shared by every recorded ND event rather than
+   allocated per event: the trace keeps each event's kind. *)
+let nd_transient = Ft_core.Event.Nd Ft_core.Event.Transient
+let nd_fixed = Ft_core.Event.Nd Ft_core.Event.Fixed
+
 let event_kind_of_served (served : Ft_os.Kernel.served) :
     Ft_core.Event.kind option =
   match served.Ft_os.Kernel.ev with
   | Ft_os.Kernel.Ev_none -> None
-  | Ft_os.Kernel.Ev_nd (c, _) -> Some (Ft_core.Event.Nd c)
+  | Ft_os.Kernel.Ev_nd (Ft_core.Event.Transient, _) -> Some nd_transient
+  | Ft_os.Kernel.Ev_nd (Ft_core.Event.Fixed, _) -> Some nd_fixed
   | Ft_os.Kernel.Ev_visible v -> Some (Ft_core.Event.Visible v)
   | Ft_os.Kernel.Ev_send { dest; tag } ->
       Some (Ft_core.Event.Send { dest; tag })
@@ -1017,8 +1023,7 @@ let event_kind_of_served (served : Ft_os.Kernel.served) :
 let maybe_deliver_signal tn (p : proc) =
   if Ft_os.Kernel.poll_signal tn.kernel p.pid ~now:p.time then begin
     let info =
-      { Ft_core.Protocol.kind = Ft_core.Event.Nd Ft_core.Event.Transient;
-        loggable = false }
+      { Ft_core.Protocol.kind = nd_transient; loggable = false }
     in
     let reaction = tn.protocol.Ft_core.Protocol.react ~pid:p.pid info in
     let survived =
@@ -1036,9 +1041,7 @@ let maybe_deliver_signal tn (p : proc) =
         ignore (Ft_os.Kernel.det_append tn.kernel p.pid : bool);
         Ft_os.Kernel.dv_tick tn.kernel p.pid
       end;
-      ignore
-        (Ft_core.Trace.record tn.trace ~pid:p.pid
-           (Ft_core.Event.Nd Ft_core.Event.Transient));
+      ignore (Ft_core.Trace.record tn.trace ~pid:p.pid nd_transient);
       match reaction.Ft_core.Protocol.commit_after with
       | Some scope -> ignore (do_commit tn p scope : bool)
       | None -> ()

@@ -46,9 +46,13 @@ type t = {
   mutable icount : int;              (* dynamic instructions executed *)
   mutable signal_handler : int;      (* code address, -1 if none *)
   mutable in_signal : bool;
-  (* Observation hook for fault injectors: called with the static pc of
-     every instruction executed. *)
-  mutable on_execute : (int -> unit) option;
+  (* Breakpoints for fault injectors: [on_break] runs before the
+     instruction at static pc [break_pc] (-1: none), and before the
+     instruction on which [countdown] (0: none), decremented once per
+     executed instruction, reaches 0. *)
+  mutable break_pc : int;
+  mutable countdown : int;
+  mutable on_break : t -> unit;
 }
 
 let create ?(stack_size = 4096) ?(heap_size = 65536) ?(page_size = 64) code =
@@ -64,7 +68,9 @@ let create ?(stack_size = 4096) ?(heap_size = 65536) ?(page_size = 64) code =
     icount = 0;
     signal_handler = -1;
     in_signal = false;
-    on_execute = None;
+    break_pc = -1;
+    countdown = 0;
+    on_break = ignore;
   }
 
 let status t = t.status
@@ -73,6 +79,10 @@ let icount t = t.icount
 let pc t = t.pc
 
 let crash t reason = t.status <- Crashed reason
+
+let clear_breakpoints t =
+  t.break_pc <- -1;
+  t.countdown <- 0
 
 let kill t = crash t Killed
 
@@ -144,7 +154,9 @@ let step t =
       if t.pc < 0 || t.pc >= Array.length t.code then crash t (Bad_jump t.pc)
       else begin
         let at = t.pc in
-        (match t.on_execute with Some f -> f at | None -> ());
+        let counted_out = t.countdown = 1 in
+        if t.countdown > 0 then t.countdown <- t.countdown - 1;
+        if at = t.break_pc || counted_out then t.on_break t;
         t.icount <- t.icount + 1;
         t.pc <- t.pc + 1;
         match Array.unsafe_get t.code at with
@@ -244,125 +256,127 @@ let step t =
 
 let[@inline] valid_reg r = r >= 0 && r < Instr.num_regs
 
-(* [step_n]'s loop for a machine without an [on_execute] hook.  It runs
-   the in-range case of the hot opcodes inline (Push, Pop, Sload and
-   Const alone are 70% of the instructions of magic, where Figure 8
+(* Execute up to [budget] instructions, stopping early at the first
+   status change.  Behaviourally identical to calling {!step} in a loop,
+   but the scheduler pays one call per slice.  Returns the number of
+   instructions actually executed (a crash on a wild pc consumes no
+   instruction, exactly as in {!step}).
+
+   The in-range case of the hot opcodes runs inline (Push, Pop, Sload
+   and Const alone are 70% of the instructions of magic, where Figure 8
    spends its time), with the arrays in locals; each inline case yields
-   the next pc.  Every crash condition
-   and every other opcode yields -1 and goes through {!step} instead, so
-   crash semantics live in one place.  An inline case never leaves
-   [Running], so the status is re-read only after [step]. *)
-let step_n_unhooked t budget =
+   the next pc.  Every crash condition, every other opcode and the
+   instruction at [break_pc] yield -1 and go through {!step} instead, so
+   crash semantics and the [on_break] call live in one place.  A run of
+   inline instructions stops short of the one on which the countdown
+   fires, which {!step} then runs, and is charged to the countdown in
+   one subtraction.  An inline case never leaves [Running] and never
+   touches a breakpoint, so the status and the breakpoints are re-read
+   only after [step]. *)
+let step_n t budget =
   let code = t.code and regs = t.regs and stack = t.stack and heap = t.heap in
   let ncode = Array.length code
   and nstack = Array.length stack
   and nheap = Memory.size heap in
   let start = t.icount in
+  let limit = if budget <= max_int - start then start + budget else max_int in
   let running = ref (is_running t) in
-  while !running && t.icount - start < budget do
-    let at = t.pc in
-    let next =
-      if at < 0 || at >= ncode then -1
-      else
-        match Array.unsafe_get code at with
-        | Instr.Push r when valid_reg r && t.sp < nstack ->
-            Array.unsafe_set stack t.sp (Array.unsafe_get regs r);
-            t.sp <- t.sp + 1;
-            at + 1
-        | Instr.Pop r when valid_reg r && t.sp > 0 ->
-            t.sp <- t.sp - 1;
-            Array.unsafe_set regs r (Array.unsafe_get stack t.sp);
-            at + 1
-        | Instr.Sload (d, off) when valid_reg d ->
-            let i = t.fp + off in
-            if i < 0 || i >= nstack then -1
-            else begin
-              Array.unsafe_set regs d (Array.unsafe_get stack i);
-              at + 1
-            end
-        | Instr.Sstore (off, s) when valid_reg s ->
-            let i = t.fp + off in
-            if i < 0 || i >= nstack then -1
-            else begin
-              Array.unsafe_set stack i (Array.unsafe_get regs s);
-              at + 1
-            end
-        | Instr.Const (d, n) when valid_reg d ->
-            Array.unsafe_set regs d n;
-            at + 1
-        | Instr.Mov (d, s) when valid_reg d && valid_reg s ->
-            Array.unsafe_set regs d (Array.unsafe_get regs s);
-            at + 1
-        | Instr.Bin (op, d, a, b)
-          when valid_reg d && valid_reg a && valid_reg b -> (
-            let x = Array.unsafe_get regs a and y = Array.unsafe_get regs b in
-            match op with
-            | Instr.Add -> Array.unsafe_set regs d (x + y); at + 1
-            | Instr.Sub -> Array.unsafe_set regs d (x - y); at + 1
-            | Instr.Mul -> Array.unsafe_set regs d (x * y); at + 1
-            | Instr.And -> Array.unsafe_set regs d (x land y); at + 1
-            | Instr.Or -> Array.unsafe_set regs d (x lor y); at + 1
-            | Instr.Xor -> Array.unsafe_set regs d (x lxor y); at + 1
-            | Instr.Shl -> Array.unsafe_set regs d (x lsl (y land 62)); at + 1
-            | Instr.Shr -> Array.unsafe_set regs d (x asr (y land 62)); at + 1
-            | Instr.Div | Instr.Mod -> -1)
-        | Instr.Cmp (op, d, a, b)
-          when valid_reg d && valid_reg a && valid_reg b ->
-            Array.unsafe_set regs d
-              (cmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
-            at + 1
-        | Instr.Load (d, a) when valid_reg d && valid_reg a ->
-            let addr = Array.unsafe_get regs a in
-            if addr < 0 || addr >= nheap then -1
-            else begin
-              Array.unsafe_set regs d (Memory.unsafe_read heap addr);
-              at + 1
-            end
-        | Instr.Store (a, s) when valid_reg a && valid_reg s ->
-            let addr = Array.unsafe_get regs a in
-            if addr < 0 || addr >= nheap then -1
-            else begin
-              Memory.unsafe_write heap addr (Array.unsafe_get regs s);
-              at + 1
-            end
-        | Instr.Jmp a when a >= 0 && a <= ncode -> a
-        | Instr.Jz (r, a) when valid_reg r ->
-            if Array.unsafe_get regs r <> 0 then at + 1
-            else if a >= 0 && a <= ncode then a
-            else -1
-        | Instr.Jnz (r, a) when valid_reg r ->
-            if Array.unsafe_get regs r = 0 then at + 1
-            else if a >= 0 && a <= ncode then a
-            else -1
-        | _ -> -1
+  while !running && t.icount < limit do
+    let bpc = t.break_pc and from = t.icount in
+    let stop =
+      if t.countdown > 0 then min limit (from + t.countdown - 1) else limit
     in
-    if next >= 0 then begin
-      t.pc <- next;
-      t.icount <- t.icount + 1
-    end
-    else begin
+    let next = ref 0 in
+    while !next >= 0 && t.icount < stop do
+      let at = t.pc in
+      let n =
+        if at < 0 || at >= ncode || at = bpc then -1
+        else
+          match Array.unsafe_get code at with
+          | Instr.Push r when valid_reg r && t.sp < nstack ->
+              Array.unsafe_set stack t.sp (Array.unsafe_get regs r);
+              t.sp <- t.sp + 1;
+              at + 1
+          | Instr.Pop r when valid_reg r && t.sp > 0 ->
+              t.sp <- t.sp - 1;
+              Array.unsafe_set regs r (Array.unsafe_get stack t.sp);
+              at + 1
+          | Instr.Sload (d, off) when valid_reg d ->
+              let i = t.fp + off in
+              if i < 0 || i >= nstack then -1
+              else begin
+                Array.unsafe_set regs d (Array.unsafe_get stack i);
+                at + 1
+              end
+          | Instr.Sstore (off, s) when valid_reg s ->
+              let i = t.fp + off in
+              if i < 0 || i >= nstack then -1
+              else begin
+                Array.unsafe_set stack i (Array.unsafe_get regs s);
+                at + 1
+              end
+          | Instr.Const (d, n) when valid_reg d ->
+              Array.unsafe_set regs d n;
+              at + 1
+          | Instr.Mov (d, s) when valid_reg d && valid_reg s ->
+              Array.unsafe_set regs d (Array.unsafe_get regs s);
+              at + 1
+          | Instr.Bin (op, d, a, b)
+            when valid_reg d && valid_reg a && valid_reg b -> (
+              let x = Array.unsafe_get regs a and y = Array.unsafe_get regs b in
+              match op with
+              | Instr.Add -> Array.unsafe_set regs d (x + y); at + 1
+              | Instr.Sub -> Array.unsafe_set regs d (x - y); at + 1
+              | Instr.Mul -> Array.unsafe_set regs d (x * y); at + 1
+              | Instr.And -> Array.unsafe_set regs d (x land y); at + 1
+              | Instr.Or -> Array.unsafe_set regs d (x lor y); at + 1
+              | Instr.Xor -> Array.unsafe_set regs d (x lxor y); at + 1
+              | Instr.Shl -> Array.unsafe_set regs d (x lsl (y land 62)); at + 1
+              | Instr.Shr -> Array.unsafe_set regs d (x asr (y land 62)); at + 1
+              | Instr.Div | Instr.Mod -> -1)
+          | Instr.Cmp (op, d, a, b)
+            when valid_reg d && valid_reg a && valid_reg b ->
+              Array.unsafe_set regs d
+                (cmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
+              at + 1
+          | Instr.Load (d, a) when valid_reg d && valid_reg a ->
+              let addr = Array.unsafe_get regs a in
+              if addr < 0 || addr >= nheap then -1
+              else begin
+                Array.unsafe_set regs d (Memory.unsafe_read heap addr);
+                at + 1
+              end
+          | Instr.Store (a, s) when valid_reg a && valid_reg s ->
+              let addr = Array.unsafe_get regs a in
+              if addr < 0 || addr >= nheap then -1
+              else begin
+                Memory.unsafe_write heap addr (Array.unsafe_get regs s);
+                at + 1
+              end
+          | Instr.Jmp a when a >= 0 && a <= ncode -> a
+          | Instr.Jz (r, a) when valid_reg r ->
+              if Array.unsafe_get regs r <> 0 then at + 1
+              else if a >= 0 && a <= ncode then a
+              else -1
+          | Instr.Jnz (r, a) when valid_reg r ->
+              if Array.unsafe_get regs r = 0 then at + 1
+              else if a >= 0 && a <= ncode then a
+              else -1
+          | _ -> -1
+      in
+      if n >= 0 then begin
+        t.pc <- n;
+        t.icount <- t.icount + 1
+      end;
+      next := n
+    done;
+    if t.countdown > 0 then t.countdown <- t.countdown - (t.icount - from);
+    if t.icount < limit then begin
       step t;
       running := is_running t
     end
   done;
   t.icount - start
-
-(* Execute up to [budget] instructions, stopping early at the first
-   status change.  Behaviourally identical to calling {!step} in a loop,
-   but the scheduler pays one call per slice.  Returns the number of
-   instructions actually executed (a crash on a wild pc consumes no
-   instruction, exactly as in {!step}).  A hooked machine (a fault
-   injector's hook must see every instruction) keeps the plain [step]
-   loop. *)
-let step_n t budget =
-  match t.on_execute with
-  | None -> step_n_unhooked t budget
-  | Some _ ->
-      let start = t.icount in
-      while t.icount - start < budget && is_running t do
-        step t
-      done;
-      t.icount - start
 
 (* Resume after the engine serviced a pending syscall. *)
 let resume t =

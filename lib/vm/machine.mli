@@ -4,7 +4,7 @@
     of the paper's model (§2.5).
 
     The state record is exposed: the execution engine and the fault
-    injectors manipulate code, registers and hooks directly. *)
+    injectors manipulate code, registers and breakpoints directly. *)
 
 type crash_reason =
   | Heap_out_of_bounds of int
@@ -36,10 +36,24 @@ type t = {
   mutable icount : int;  (** dynamic instructions executed *)
   mutable signal_handler : int;  (** code address, -1 when none *)
   mutable in_signal : bool;
-  mutable on_execute : (int -> unit) option;
-      (** observation hook: called with the static pc of every
-          instruction executed (used by fault injectors) *)
+  mutable break_pc : int;  (** static pc breakpoint, -1 when none *)
+  mutable countdown : int;
+      (** executed instructions until the countdown breakpoint fires,
+          0 when none *)
+  mutable on_break : t -> unit;  (** called when a breakpoint fires *)
 }
+(** {b Breakpoints} (used by fault injectors).  [on_break t] runs just
+    before an instruction executes — after the pc range check, before
+    [icount] and [pc] advance, so it sees [pc] at that instruction — if
+    its static pc is [break_pc], or if it is the instruction on which
+    [countdown] reaches 0.  It runs once even when both fire together.
+    A positive [countdown] drops by one per executed instruction, in
+    {!step} and {!step_n} alike; it counts from where it was set, not
+    from [icount], so {!restore} (which rewinds [icount]) leaves it
+    counting.  A countdown that fires reads 0 in the callback and stays
+    0; [break_pc] stays set until someone clears it.  The callback may
+    change the machine, including both breakpoints and the contents of
+    [code], but not [code] itself. *)
 
 val create :
   ?stack_size:int -> ?heap_size:int -> ?page_size:int -> Instr.t array -> t
@@ -53,6 +67,9 @@ val crash : t -> crash_reason -> unit
 val kill : t -> unit
 (** An external stop failure. *)
 
+val clear_breakpoints : t -> unit
+(** [break_pc <- -1; countdown <- 0]. *)
+
 val set_reg : t -> Instr.reg -> int -> unit
 val stack_slot : t -> int -> int option
 val set_stack_slot : t -> int -> int -> unit
@@ -64,13 +81,14 @@ val step : t -> unit
 val step_n : t -> int -> int
 (** [step_n t budget] executes up to [budget] instructions, stopping
     early at the first status change; returns the number executed.
-    Equivalent to calling {!step} in a loop, state for state.
+    Equivalent to calling {!step} in a loop, state for state and
+    breakpoint for breakpoint.
 
-    With no [on_execute] hook it runs a fast loop: the in-range case of
-    Const, Mov, Bin (but Div and Mod), Cmp, Load, Store, Push, Pop,
-    Sload, Sstore, Jmp, Jz and Jnz runs inline, and everything else
-    (every crash condition, every other opcode) goes through {!step}.
-    A hooked machine (a fault injector's) runs {!step} in a loop. *)
+    The one interpreter loop: the in-range case of Const, Mov, Bin (but
+    Div and Mod), Cmp, Load, Store, Push, Pop, Sload, Sstore, Jmp, Jz
+    and Jnz runs inline, and everything else (every crash condition,
+    every other opcode, the instruction at [break_pc] and the one on
+    which [countdown] fires) goes through {!step}. *)
 
 val is_running : t -> bool
 (** [status t = Running], without the polymorphic compare. *)

@@ -122,5 +122,7 @@ let restore t words =
     t.dirty <- Array.make (max 1 npages) false;
     t.dirty_count <- 0
   end
-  else Array.blit words 0 t.data 0 (Array.length words);
+  else if words != t.data then
+    (* [words t] itself: the caller loaded it in place *)
+    Array.blit words 0 t.data 0 (Array.length words);
   clear_dirty t

@@ -50,8 +50,9 @@ val snapshot : t -> int array
 
 val words : t -> int array
 (** The heap's live backing array, for bulk copies out of it without
-    allocating a snapshot.  Read it only: a write through it would
-    bypass bounds and dirty-page tracking. *)
+    allocating a snapshot.  A write through it bypasses bounds and
+    dirty-page tracking: a caller that loads the heap in place must
+    then call [restore t (words t)]. *)
 
 val restore : t -> int array -> unit
-(** Also clears dirty tracking. *)
+(** Also clears dirty tracking.  [restore t (words t)] copies nothing. *)

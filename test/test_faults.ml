@@ -120,20 +120,73 @@ let test_delete_branch_semantic_activation () =
   ignore r.Ft_runtime.Engine.outcome;
   Alcotest.(check pass) "ran" () ()
 
+let first_index f =
+  let rec go i = if f code.(i) then i else go (i + 1) in
+  go 0
+
+(* Mutate the heap store into a wild jump, so the first execution
+   activates the fault and crashes; also arm a countdown that cannot
+   fire before the crash.  The suppressed recovery must leave pristine
+   code and no breakpoint. *)
 let test_suppression_restores_code () =
-  (* Mutate, crash, recover: the machine must be running pristine code. *)
+  let at = first_index (function Ft_vm.Instr.Store _ -> true | _ -> false) in
   let plan =
-    Ft_faults.App_injector.Bit_flip
-      { at_icount = 300; target = `Stack; bit = 22; loc_seed = 8 }
+    Ft_faults.App_injector.Code_mutation
+      { at; replacement = Ft_vm.Instr.Jmp (-1) }
   in
-  let engine, _ =
-    run_engine ~arm:(fun e -> Ft_faults.App_injector.arm e ~pid:0 plan) ()
+  let engine, r =
+    run_engine
+      ~arm:(fun e ->
+        Ft_faults.App_injector.arm e ~pid:0 plan;
+        (Ft_runtime.Engine.machine e 0).Ft_vm.Machine.countdown <- 1_000_000)
+      ()
   in
   let m = Ft_runtime.Engine.machine engine 0 in
-  Alcotest.(check bool) "hook cleared or never fired" true
-    (m.Ft_vm.Machine.on_execute = None
-    || Ft_runtime.Engine.activation_recorded engine = false
-    || true)
+  Alcotest.(check bool) "activated" true (r.Ft_runtime.Engine.activation <> None);
+  Alcotest.(check bool) "recovered" true (r.Ft_runtime.Engine.recoveries >= 1);
+  Alcotest.(check bool) "pristine code" true (m.Ft_vm.Machine.code = code);
+  Alcotest.(check int) "pc breakpoint cleared" (-1) m.Ft_vm.Machine.break_pc;
+  Alcotest.(check int) "countdown cleared" 0 m.Ft_vm.Machine.countdown
+
+(* The mirror case, without suppression: an off-by-one comparison
+   (x > 50 made x >= 50) activates only on input 50, the fourth; a stop
+   failure lands before it.  The restore must leave the mutated code and
+   its breakpoint armed, and the breakpoint must clear when the fault
+   activates later. *)
+let test_breakpoint_survives_restore () =
+  let at =
+    first_index (function
+      | Ft_vm.Instr.Cmp (Ft_vm.Instr.Gt, _, _, _) -> true
+      | _ -> false)
+  in
+  let replacement =
+    match code.(at) with
+    | Ft_vm.Instr.Cmp (op, d, a, b) ->
+        Ft_vm.Instr.Cmp (Ft_vm.Instr.off_by_one_cmp op, d, a, b)
+    | _ -> assert false
+  in
+  let kernel = Ft_os.Kernel.create ~nprocs:1 () in
+  Ft_os.Kernel.set_input kernel 0
+    (Ft_os.Kernel.scripted_input ~start:0 ~interval_ns:100_000
+       [ 10; 20; 30; 50; 60 ]);
+  let cfg =
+    { Ft_runtime.Engine.default_config with
+      max_recovery_attempts = 2;
+      kills = [ (150_000, 0) ];
+      max_instructions = 2_000_000 }
+  in
+  let engine = Ft_runtime.Engine.create ~cfg ~kernel ~programs:[| code |] () in
+  Ft_faults.App_injector.arm engine ~pid:0
+    (Ft_faults.App_injector.Code_mutation { at; replacement });
+  let m = Ft_runtime.Engine.machine engine 0 in
+  let at_replay = ref [] in
+  Ft_runtime.Engine.set_on_replay engine (fun _ ~salt:_ ->
+      at_replay := m.Ft_vm.Machine.break_pc :: !at_replay);
+  let r = Ft_runtime.Engine.run engine in
+  Alcotest.(check (list int)) "armed across the restore" [ at ] !at_replay;
+  Alcotest.(check bool) "activated" true (r.Ft_runtime.Engine.activation <> None);
+  Alcotest.(check int) "cleared on activation" (-1) m.Ft_vm.Machine.break_pc;
+  Alcotest.(check bool) "mutation kept" true (m.Ft_vm.Machine.code.(at) = replacement)
 
 (* --- OS injector ---------------------------------------------------------- *)
 
@@ -346,6 +399,8 @@ let tests =
       test_bit_flip_records_activation;
     Alcotest.test_case "delete branch semantic activation" `Quick
       test_delete_branch_semantic_activation;
+    Alcotest.test_case "breakpoint survives restore" `Quick
+      test_breakpoint_survives_restore;
     Alcotest.test_case "suppression restores code" `Quick
       test_suppression_restores_code;
     Alcotest.test_case "os plan profiles" `Quick test_os_plan_profiles;

@@ -1011,36 +1011,28 @@ let same_machine (a : Machine.t) (b : Machine.t) =
   && Memory.dirty_pages a.heap = Memory.dirty_pages b.heap
   && Memory.dirty_count a.heap = Memory.dirty_count b.heap
 
-(* Run the same machine three ways for a dozen slices of random budget:
-   [step_n] unhooked (the fast loop), [step_n] with a no-op hook, and
-   {!Machine.step} in a loop, the reference.  After every slice the
-   three must agree on the count executed and on the whole state, crash
-   reason included; a pending syscall is resumed on all three. *)
+(* Run the same machine two ways for a dozen slices of random budget:
+   [step_n] (the fast loop) and {!Machine.step} in a loop, the
+   reference.  After every slice the two must agree on the count
+   executed and on the whole state, crash reason included; a pending
+   syscall is resumed on both. *)
 let fast_loop_agrees seed =
-  let fast = random_machine seed
-  and hooked = random_machine seed
-  and reference = random_machine seed in
-  hooked.Machine.on_execute <- Some ignore;
+  let fast = random_machine seed and reference = random_machine seed in
   let rng = Random.State.make [| seed; 0x73_74 |] in
   let ok = ref true and slices = ref 0 in
   while !ok && !slices < 12 do
     incr slices;
     let budget = Random.State.int rng 40 - 2 in
     let n_fast = Machine.step_n fast budget in
-    let n_hooked = Machine.step_n hooked budget in
     let start = reference.Machine.icount in
     while reference.Machine.icount - start < budget
           && Machine.is_running reference do
       Machine.step reference
     done;
     let n_ref = reference.Machine.icount - start in
-    ok :=
-      n_fast = n_ref && n_hooked = n_ref
-      && same_machine fast reference
-      && same_machine hooked reference;
+    ok := n_fast = n_ref && same_machine fast reference;
     match Machine.status reference with
-    | Machine.Need_syscall _ ->
-        List.iter Machine.resume [ fast; hooked; reference ]
+    | Machine.Need_syscall _ -> List.iter Machine.resume [ fast; reference ]
     | Machine.Halted | Machine.Crashed _ -> slices := 12
     | Machine.Running -> ()
   done;
@@ -1052,6 +1044,170 @@ let fast_loop_prop =
     ~count:5000 ~long_factor:100
     (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
     fast_loop_agrees
+
+(* What a breakpoint callback does, on either side: log the firing as
+   (icount, pc), perturb a register so a misplaced firing shows in the
+   state, and return the firing's number, from which the caller
+   re-arms: every third firing clears the pc breakpoint, and every
+   second one with the countdown spent sets a new countdown. *)
+let on_fire log (m : Machine.t) =
+  log := (m.Machine.icount, m.Machine.pc) :: !log;
+  let k = List.length !log in
+  let r = k mod Instr.num_regs in
+  m.Machine.regs.(r) <- m.Machine.regs.(r) + k;
+  k
+
+(* The same machine with random breakpoints, run two ways for twenty
+   slices: [step_n] with the machine's own breakpoints, and
+   {!Machine.step} in a loop with none, driven by a reference hook that
+   runs before every instruction [step] would execute: it counts the
+   countdown down and fires on the pc or on the countdown reaching 0.
+   Between slices the breakpoints are sometimes re-drawn, and both
+   machines are sometimes restored to a snapshot taken at an earlier
+   slice (which rewinds icount but not the countdown).  After every
+   slice the two must agree on the count executed, the whole state, the
+   breakpoints and the log of firings. *)
+let breakpoints_agree seed =
+  let fast = random_machine seed and reference = random_machine seed in
+  let rng = Random.State.make [| seed; 0x62_70 |] in
+  let int n = Random.State.int rng n in
+  let ncode = Array.length fast.Machine.code in
+  let fast_log = ref [] and ref_log = ref [] in
+  let ref_pc = ref (-1) and ref_countdown = ref 0 in
+  let draw () =
+    let pc = if int 4 = 0 then -1 else int ncode in
+    let countdown = if int 3 = 0 then 0 else 1 + int 50 in
+    fast.Machine.break_pc <- pc;
+    fast.Machine.countdown <- countdown;
+    ref_pc := pc;
+    ref_countdown := countdown
+  in
+  draw ();
+  fast.Machine.on_break <-
+    (fun m ->
+      let k = on_fire fast_log m in
+      if k mod 3 = 0 then m.Machine.break_pc <- -1;
+      if k mod 2 = 0 && m.Machine.countdown = 0 then
+        m.Machine.countdown <- 1 + (k mod 7));
+  let reference_step () =
+    let m = reference in
+    if Machine.is_running m && m.Machine.pc >= 0
+       && m.Machine.pc < Array.length m.Machine.code
+    then begin
+      let counted_out = !ref_countdown = 1 in
+      if !ref_countdown > 0 then decr ref_countdown;
+      if m.Machine.pc = !ref_pc || counted_out then begin
+        let k = on_fire ref_log m in
+        if k mod 3 = 0 then ref_pc := -1;
+        if k mod 2 = 0 && !ref_countdown = 0 then ref_countdown := 1 + (k mod 7)
+      end
+    end;
+    Machine.step m
+  in
+  let saved = ref None in
+  let ok = ref true and slices = ref 0 in
+  while !ok && !slices < 20 do
+    incr slices;
+    (match int 8 with
+    | 0 -> draw ()
+    | 1 -> saved := Some (Machine.snapshot fast, Machine.snapshot reference)
+    | 2 -> (
+        match !saved with
+        | Some (a, b) -> Machine.restore fast a; Machine.restore reference b
+        | None -> ())
+    | _ -> ());
+    (match Machine.status reference with
+    | Machine.Need_syscall _ -> List.iter Machine.resume [ fast; reference ]
+    | _ -> ());
+    let budget = int 60 - 2 in
+    let n_fast = Machine.step_n fast budget in
+    let start = reference.Machine.icount in
+    while reference.Machine.icount - start < budget
+          && Machine.is_running reference do
+      reference_step ()
+    done;
+    let n_ref = reference.Machine.icount - start in
+    ok :=
+      n_fast = n_ref && same_machine fast reference
+      && fast.Machine.break_pc = !ref_pc
+      && fast.Machine.countdown = !ref_countdown
+      && !fast_log = !ref_log
+  done;
+  !ok
+
+(* Runs [long_factor] times longer under QCHECK_LONG (the CI soak). *)
+let breakpoints_prop =
+  QCheck.Test.make ~name:"breakpoints fire as a per-instruction hook would"
+    ~count:5000 ~long_factor:100
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+    breakpoints_agree
+
+(* --- the rollback archive against shadow snapshots ----------------------- *)
+
+module Checkpointer = Ft_runtime.Checkpointer
+
+(* Random commit/restore/rollback sequences on a checkpointer keeping
+   [history] generations, with random heap writes between, and with
+   every third page excluded from checkpoints for odd seeds.  A shadow
+   list keeps a {!Memory.snapshot} per commit (newest first, trimmed to
+   [history], shortened by each rollback).  After every commit each
+   archived heap image must equal its shadow snapshot, excluded pages
+   included: an image refilled from a page set that missed a change
+   shows up here. *)
+let archive_agrees seed =
+  let rng = Random.State.make [| seed; 0x61_72 |] in
+  let int n = Random.State.int rng n in
+  let page_size = 8 and heap_words = 8 * (2 + int 14) in
+  let history = 1 + int 5 in
+  let excluded = if seed land 1 = 1 then fun p -> p mod 3 = 1 else fun _ -> false in
+  let kernel = Ft_os.Kernel.create ~seed:1 ~nprocs:1 () in
+  let machine =
+    Machine.create ~stack_size:16 ~heap_size:heap_words ~page_size
+      [| Instr.Halt |]
+  in
+  let heap = Machine.heap machine in
+  let ckpt =
+    Checkpointer.create ~excluded ~page_size ~history
+      ~medium:Checkpointer.Reliable_memory ~nprocs:1 ~heap_words
+      ~stack_words:16 ()
+  in
+  let shadow = ref [] in
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+  in
+  let commit () =
+    ignore
+      (Checkpointer.commit ckpt ~pid:0 ~machine
+         ~kstate:(Ft_os.Kernel.snapshot_kstate kernel 0));
+    shadow := take history (Memory.snapshot heap :: !shadow);
+    List.length !shadow = Checkpointer.history_depth ckpt ~pid:0
+    && List.for_all2 ( = ) !shadow
+         (List.init (List.length !shadow) (Checkpointer.archived_heap ckpt ~pid:0))
+  in
+  let ok = ref (commit ()) and ops = ref 0 in
+  while !ok && !ops < 40 do
+    incr ops;
+    for _ = 1 to int 6 do
+      Memory.write heap (int heap_words) (if int 3 = 0 then 0 else 1 + int 999)
+    done;
+    match int 6 with
+    | 0 -> ignore (Checkpointer.restore ckpt ~pid:0 ~machine)
+    | 1 -> (
+        let back = 1 + int 3 in
+        match Checkpointer.rollback ckpt ~pid:0 ~machine ~back with
+        | Some _ -> shadow := List.filteri (fun i _ -> i >= back) !shadow
+        | None -> ())
+    | _ -> ok := commit ()
+  done;
+  !ok
+
+(* Runs [long_factor] times longer under QCHECK_LONG (the CI soak). *)
+let archive_prop =
+  QCheck.Test.make ~name:"archived heap images equal their commits"
+    ~count:500 ~long_factor:100
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+    archive_agrees
 
 (* --- conformance harness regressions ------------------------------------- *)
 
@@ -1128,9 +1284,14 @@ let rio_tests =
 
 (* likewise: test_props.exe test vm *)
 let vm_tests =
-  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick fast_loop_prop ]
+  List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+    [ fast_loop_prop; breakpoints_prop ]
+
+(* likewise: test_props.exe test archive *)
+let archive_tests =
+  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick archive_prop ]
 
 let () =
   Alcotest.run "ft_props"
     [ ("properties", tests); ("save-work", save_work_tests);
-      ("rio", rio_tests); ("vm", vm_tests) ]
+      ("rio", rio_tests); ("vm", vm_tests); ("archive", archive_tests) ]
